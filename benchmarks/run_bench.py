@@ -625,6 +625,11 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
         "independent_rounds": world.barrier_rounds,
         "independent_cohort_spans": world.independent_cohort_spans,
         "independent_scalar_spans": world.independent_scalar_spans,
+        "engine_steps": sum(d.clock.ticks - d.fast_forwarded_ticks
+                            for d in world.devices),
+        "netd_operations": sum(d.netd.stats.operations
+                               for d in world.devices),
+        "span_ends": world.span_ends,
         "horizon_polls": world.horizon_polls,
         "horizon_cache_hits": world.horizon_cache_hits,
         "radio_activations": world.total_radio_activations(),

@@ -49,13 +49,22 @@ FLEET_1K_WALL_LIMIT_S = 90.0
 FLEET_1K_US_PER_DEVICE_S = 110.0
 
 #: Ceiling for the randomized-phase (staggered) 1000-device point on
-#: the bucketed cohort scheduler: best-of-3 measured ~14.8
-#: us/device-second, vs 31.62 on the pre-cohort independent loop.
-#: The ceiling sits *below* the pre-cohort cost — losing the cohort
-#: path is a hard failure, not noise — with ~2x headroom over the
-#: measurement for shared runners.
-FLEET_1K_STAGGERED_US_PER_DEVICE_S = 30.0
+#: the bucketed cohort scheduler.  Trace records are written inside
+#: committed spans, so the 5 s record cadence no longer ends a span
+#: or forces a tick: best-of-3 measured 1.6-2.2 us/device-second on a
+#: 2-CPU host (~20 there while every record ended a span).  The
+#: ceiling keeps >3x headroom for shared runners and still fails if
+#: records bound spans again.
+FLEET_1K_STAGGERED_US_PER_DEVICE_S = 8.0
 FLEET_1K_STAGGERED_WALL_LIMIT_S = 45.0
+
+#: Engine-step budget of a staggered poller fleet: normal steps (not
+#: fast-forwarded) per netd operation, plus a per-device constant.  A
+#: poll takes ~2.5 steps (the wake, the pooled crossing, the radio's
+#: idle transition); nothing else should tick.  While records ended
+#: spans a device took one step per 5 s record, ~60 per poll.
+ENGINE_STEPS_PER_POLL = 4
+ENGINE_STEPS_PER_DEVICE = 4
 
 #: Socket-transport overhead ceiling vs in-process sharding on the
 #: same partition (best-of-3 measured ~8% on one shared core; the
@@ -192,15 +201,20 @@ def test_bench_core_speedups_and_write_json(run_once):
         f"staggered 1000-device fleet costs "
         f"{staggered['us_per_device_second']} us per device-second "
         f"(ceiling {FLEET_1K_STAGGERED_US_PER_DEVICE_S})")
-    # The cohort path, not per-device fallback, must carry the run:
-    # randomized phases still land whole (cohort_token, lam) groups
-    # in each frontier bucket, and the poll-skip cache must fire.
+    # Only real events may cost a step: trace records are span
+    # outputs, so each device steps a few times per poll and
+    # fast-forwards the rest.  Devices whose spans coincide still
+    # share frontier buckets and stacked solves, and the poll-skip
+    # cache must fire.
     assert staggered["independent_rounds"] > 0
     assert staggered["independent_cohort_spans"] > 0
-    assert (staggered["independent_cohort_spans"]
-            > 10 * staggered["independent_scalar_spans"]), (
-        "staggered fleet degraded to scalar spans — the frontier "
-        "buckets are not forming cohorts")
+    step_budget = (ENGINE_STEPS_PER_POLL * staggered["netd_operations"]
+                   + ENGINE_STEPS_PER_DEVICE * staggered["devices"])
+    assert staggered["engine_steps"] <= step_budget, (
+        f"staggered fleet took {staggered['engine_steps']} engine "
+        f"steps (budget {step_budget}) — something other than the "
+        f"polls is ending spans")
+    assert staggered["span_ends"].get("trace", 0) == 0
     assert staggered["horizon_cache_hits"] > 0
     assert staggered["worst_conservation_error_j"] < 1e-8
     assert staggered["radio_activations"] >= 1000

@@ -3,9 +3,9 @@
 The full ``fleet_1k_staggered`` bench runs 1000 randomized-phase
 pollers for 600 simulated seconds; this is the PR-gating slice — a
 32-device, 2-simulated-minute staggered fleet whose floors (frontier
-rounds actually iterate, stacked cohort spans dominate scalar
-fallbacks, the poll-skip cache fires, conservation holds, and the
-whole thing finishes in seconds) catch a broken or degraded cohort
+rounds actually iterate, stacked cohort spans form, engine steps stay
+within a few per poll, the poll-skip cache fires, conservation holds,
+and the whole thing finishes in seconds) catch a broken or degraded cohort
 path long before the full bench matrix reports.  CI runs it in the
 bench-smoke job and again in the numba-kernel leg, so the scheduler
 is exercised over both segkernel backends.
@@ -21,6 +21,11 @@ from repro.sim.world import World
 SMOKE_DEVICES = 32
 SMOKE_SIM_S = 120.0
 SMOKE_WALL_LIMIT_S = 20.0
+#: Normal (not fast-forwarded) engine steps allowed per netd operation
+#: and per device: trace records are span outputs, so only the polls
+#: themselves should tick (~3 steps each here).
+ENGINE_STEPS_PER_POLL = 4
+ENGINE_STEPS_PER_DEVICE = 4
 
 
 def _build() -> World:
@@ -47,9 +52,14 @@ def test_staggered_smoke_floors():
         "the independent scheduler must count its frontier rounds")
     assert world.independent_cohort_spans > 0, (
         "randomized phases must still form stacked cohort spans")
-    assert (world.independent_cohort_spans
-            > world.independent_scalar_spans), (
-        "staggered smoke fleet degraded to scalar spans")
+    steps = sum(d.clock.ticks - d.fast_forwarded_ticks
+                for d in world.devices)
+    polls = sum(d.netd.stats.operations for d in world.devices)
+    budget = (ENGINE_STEPS_PER_POLL * polls
+              + ENGINE_STEPS_PER_DEVICE * SMOKE_DEVICES)
+    assert steps <= budget, (
+        f"staggered smoke fleet took {steps} engine steps (budget "
+        f"{budget}) — something other than the polls is ending spans")
     assert world.horizon_cache_hits > 0, (
         "the post-commit poll-skip cache never fired")
     assert world.horizon_polls > 0

@@ -114,6 +114,30 @@ MAX_SEGMENTS = 64
 #: switching instant (crossings between samples are then bisected).
 EVENT_SAMPLES = 96
 
+#: Relative float-noise tolerance on levels: a clamp fires below
+#: ``-ltol``, a debt clears above it, and located crossings leave up
+#: to ``4 * ltol`` of dust that the battery absorbs.
+LEVEL_RTOL = 1e-11
+
+
+def _level_tolerance(lvl: np.ndarray, root: int) -> np.ndarray:
+    """Per-device ``ltol`` for ``(..., n)`` levels: ``LEVEL_RTOL``
+    times the largest *non-root* magnitude (at least 1 J).
+
+    The battery is left out of the scale.  It typically holds 10^4 J,
+    which would make ``ltol`` ~1e-7 J: a reserve running dry mid-span
+    would be located that far past empty, its sink would receive the
+    overshoot, and dust absorption would bill it to the battery — a
+    flow the tick engine never makes.  The battery's own level needs
+    no such slack: a battery leaving the normal regime has no rewrite
+    (the span is refused), and its level rounds at its own ulp, far
+    below ``ltol`` near zero.
+    """
+    rest = np.delete(lvl, root, axis=-1)
+    return LEVEL_RTOL * np.maximum(1.0, np.abs(rest).max(axis=-1,
+                                                          initial=0.0))
+
+
 # per-reserve regime modes inside one segment
 _NORMAL, _DEBT, _EMPTY, _FULL, _HOVER = 0, 1, 2, 3, 4
 
@@ -985,8 +1009,7 @@ class SpanTier:
         m = len(plan.taps)
         root = plan.root_index
         lvl = lvl.copy()  # staged: the caller's gather stays pristine
-        scale = max(1.0, float(np.abs(lvl).max()))
-        ltol = 1e-11 * scale
+        ltol = float(_level_tolerance(lvl, root))
         def absorb_dust() -> None:
             # Float dust from a located crossing: clamp to zero and
             # let the root absorb the difference (same book-balancing
@@ -2038,8 +2061,7 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
     root = plan.root_index
     g = idx.size
     work = lvl[idx].copy()
-    scale = np.maximum(1.0, np.abs(work).max(axis=1))
-    ltol = 1e-11 * scale
+    ltol = _level_tolerance(work, root)
     acc_moved = np.zeros((g, m))
     acc_lost = np.zeros((g, n))
     acc_rec = np.zeros(g)

@@ -15,7 +15,7 @@ recover energy by aggregation — so figures compare Cinder's model
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,52 @@ from ..errors import SimulationError
 #: The paper's sampling cadence.
 DEFAULT_SAMPLE_INTERVAL_S = 0.2
 
+#: Window-clock tolerance (seconds).  A window within this of full
+#: closes, and :meth:`PowerMeter.flush` discards a partial window
+#: holding less than this.  It absorbs the float rounding of the span
+#: lengths callers feed (``ticks * tick_s`` carries ~1e-11 s of error
+#: after a simulated day), so *where* a run is cut into feeds never
+#: moves a window close.
+WINDOW_EPS_S = 1e-9
+
+#: Whole-window runs this long take numpy's sequential ``cumsum`` for
+#: their running chains instead of a Python loop (same bits either way).
+_CUMSUM_MIN = 64
+
+
+def _running(start: float, step: float, count: int) -> np.ndarray:
+    """The ``count`` running values of ``start + step + step + ...``
+    (``numpy.cumsum`` is sequential: the bits of repeated ``+=``)."""
+    chain = np.empty(count + 1)
+    chain[0] = start
+    chain[1:] = step
+    return np.cumsum(chain)[1:]
+
+
+def _chain(start: float, step: float, count: int) -> float:
+    """``start`` plus ``step`` added ``count`` times, sequentially."""
+    if count < _CUMSUM_MIN:
+        for _ in range(count):
+            start += step
+        return start
+    return float(_running(start, step, count)[-1])
+
 
 class PowerMeter:
-    """Accumulates true power and emits sampled V/I readings."""
+    """Accumulates true power and emits sampled V/I readings.
+
+    Samples closed one window at a time (a partial window drained by
+    a feed, a tick-by-tick run) are stored as three parallel lists.
+    A noiseless run of whole windows at constant power is stored as
+    one *block* ``[position, seed, interval, count, mean, end]``: its
+    samples sit before list index ``position``, their times are the
+    sequential chain ``seed + interval + interval + ...`` (ending at
+    ``end``), and every window has length ``interval`` and mean
+    ``mean``.  :meth:`samples` materializes blocks through the same
+    chain, so the arrays are bit-identical to emitting each window
+    on its own, while an idle hour costs one block instead of 18000
+    Python floats.
+    """
 
     def __init__(self, sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
                  supply_voltage: float = 3.7,
@@ -47,86 +90,67 @@ class PowerMeter:
         self._sample_times: List[float] = []
         self._sample_watts: List[float] = []
         self._sample_windows: List[float] = []
+        self._blocks: List[list] = []
+        self._block_samples = 0
         #: Exact integrated energy (the meter's internal totalizer).
         self.total_energy_joules = 0.0
 
     # -- feeding -------------------------------------------------------------------
 
-    def feed(self, watts: float, dt: float) -> None:
-        """Integrate true power over ``dt`` seconds; emit due samples.
+    def _plan(self, dt: float) -> Tuple[float, int, float]:
+        """``(drain, whole, tail)``: how a ``dt`` feed cuts into windows.
 
-        A fast-forwarded span may cover hours at constant power; the
-        scalar one-window-at-a-time loop (kept as
-        :meth:`_feed_reference`, the differential-testing oracle)
-        would cost thousands of Python iterations.  Whole windows are
-        instead emitted in bulk with numpy while reproducing the
-        reference bit-for-bit: running times and the energy totalizer
-        advance through ``numpy.cumsum`` (sequential, so identical to
-        repeated ``+=``), window means repeat one scalar-computed
-        value, and noise draws come from one array call, which
-        consumes the generator stream exactly like per-emit scalar
-        draws.
+        ``drain`` tops up the open window (0 if none is open), then
+        ``whole`` complete windows follow and ``tail`` opens the next
+        one.  The whole-window count comes from one division, not from
+        repeated ``remaining -= interval`` (whose rounding drifts by
+        ~1e-9 s over an hour of windows), so a long span closes the
+        same windows as the same time fed tick by tick.
         """
         if dt < 0:
             raise SimulationError("dt must be non-negative")
-        if watts < 0:
-            raise SimulationError("negative system power")
         interval = self.sample_interval_s
         remaining = dt
-        # Drain a partially-filled window with reference arithmetic.
-        while remaining > 0.0 and self._window_time > 0.0:
-            remaining = self._feed_one(watts, remaining)
+        drain = 0.0
+        if remaining > 0.0 and self._window_time > 0.0:
+            drain = min(remaining, interval - self._window_time)
+            remaining -= drain
         if remaining <= 0.0:
-            return
-        estimate = int(remaining / interval)
-        if estimate >= 512:
-            # Long idle spans (hours of windows): the numpy chain.
-            # The reference loop's remainder sequence is repeated
-            # ``remaining -= interval``; cumsum reproduces it exactly,
-            # and an iteration is a whole window iff the remainder
-            # *before* it was >= interval.
-            chain = np.empty(estimate + 1)
-            chain[0] = remaining
-            chain[1:] = -interval
-            after = np.cumsum(chain)[1:]
-            before = np.empty(estimate)
-            before[0] = remaining
-            before[1:] = after[:-1]
-            whole = int(np.argmin(before >= interval)) \
-                if not (before >= interval).all() else estimate
-            if whole >= 4:
-                self._emit_whole_windows(watts, whole)
-                remaining = float(after[whole - 1])
-        elif remaining >= interval:
-            # Short spans (a fleet macro-step is a handful of 200 ms
-            # windows): a fused scalar loop over whole windows — the
-            # exact per-window float chain ``_feed_one`` + ``_emit``
-            # produce, minus their call and bookkeeping overhead.
-            window_energy = watts * interval
-            mean = window_energy / interval
-            noise = self.noise_fraction
-            rng = self._rng
-            now = self._now
-            total = self.total_energy_joules
-            times = self._sample_times
-            sample_watts = self._sample_watts
-            windows = self._sample_windows
-            while remaining >= interval:
-                total += window_energy
-                now += interval
-                remaining -= interval
-                mean_watts = mean
-                if noise > 0.0:
-                    mean_watts *= 1.0 + rng.normal(0.0, noise)
-                    mean_watts = max(0.0, mean_watts)
-                times.append(now)
-                sample_watts.append(mean_watts)
-                windows.append(interval)
-            self._now = now
-            self.total_energy_joules = total
-        # Tail (plus any sub-window feed): the reference loop.
-        while remaining > 0.0:
-            remaining = self._feed_one(watts, remaining)
+            return drain, 0, 0.0
+        whole = int(remaining / interval)
+        tail = remaining - whole * interval
+        if tail >= interval - WINDOW_EPS_S:
+            whole += 1
+            tail = 0.0
+        return drain, whole, max(tail, 0.0)
+
+    def feed(self, watts: float, dt: float) -> None:
+        """Integrate true power over ``dt`` seconds; emit due samples.
+
+        A fast-forwarded span may cover hours at constant power; its
+        whole windows are emitted as one block (or, with noise, in one
+        numpy draw) while reproducing :meth:`_feed_reference`, the
+        window-at-a-time oracle, bit-for-bit: running times and the
+        energy totalizer advance through the same sequential chains,
+        window means repeat one scalar-computed value, and noise draws
+        come from one array call, which consumes the generator stream
+        exactly like per-window scalar draws.
+        """
+        if watts < 0:
+            raise SimulationError("negative system power")
+        self._apply(watts, self._plan(dt))
+
+    def _apply(self, watts: float, plan: Tuple[float, int, float],
+               block_end: Optional[float] = None) -> Optional[float]:
+        """Feed one :meth:`_plan`; returns the whole-window run's end time."""
+        drain, whole, tail = plan
+        if drain > 0.0:
+            self._feed_one(watts, drain)
+        if whole:
+            block_end = self._emit_whole_windows(watts, whole, block_end)
+        if tail > 0.0:
+            self._feed_one(watts, tail)
+        return block_end
 
     def feed_cohort(self, followers: List["PowerMeter"], watts: float,
                     dt: float) -> None:
@@ -136,52 +160,20 @@ class PowerMeter:
         the same ``(watts, dt)`` and every meter is *phase-aligned*:
         identical ``sample_interval_s``, ``noise_fraction == 0`` and
         identical ``(_window_time, _window_energy, _now)``.  Under
-        those guards every meter's :meth:`feed` would emit the same
-        sample block and apply the same totalizer increment sequence
-        — only the starting totalizer differs — so the lead meter runs
-        the ordinary :meth:`feed` once and each follower extends its
-        sample arrays with the shared block and replays the exact
-        increment chain from its own total.  Bit-identical to feeding
-        each meter individually; callers must fall back to that when
-        any guard fails (noise draws consume per-meter rng streams).
+        those guards every meter cuts the span into the same windows
+        at the same times, so the window plan and the whole-window
+        run's time chain are computed once; each follower then appends
+        the shared block to its own storage and advances its own
+        totalizer chain.  Bit-identical to feeding each meter
+        individually; callers must fall back to that when any guard
+        fails (noise draws consume per-meter rng streams).
         """
-        mark = len(self._sample_times)
-        interval = self.sample_interval_s
-        t0 = self._window_time
-        self.feed(watts, dt)
-        times = self._sample_times[mark:]
-        sample_watts = self._sample_watts[mark:]
-        windows = self._sample_windows[mark:]
-        # The exact totalizer increments feed() applied, re-derived
-        # through the same float chain (each branch of feed() adds
-        # watts * step per reference iteration and watts * interval
-        # per whole window — including the cumsum bulk path, which is
-        # bit-identical to the repeated scalar chain by construction).
-        incs: List[float] = []
-        remaining = dt
-        if remaining > 0.0 and t0 > 0.0:
-            step = min(remaining, interval - t0)
-            incs.append(watts * step)
-            remaining -= step
-        while remaining >= interval:
-            incs.append(watts * interval)
-            remaining -= interval
-        if remaining > 0.0:
-            incs.append(watts * remaining)
-        window_time = self._window_time
-        window_energy = self._window_energy
-        now = self._now
+        if watts < 0:
+            raise SimulationError("negative system power")
+        plan = self._plan(dt)
+        end = self._apply(watts, plan)
         for meter in followers:
-            meter._sample_times.extend(times)
-            meter._sample_watts.extend(sample_watts)
-            meter._sample_windows.extend(windows)
-            total = meter.total_energy_joules
-            for inc in incs:
-                total += inc
-            meter.total_energy_joules = total
-            meter._window_time = window_time
-            meter._window_energy = window_energy
-            meter._now = now
+            meter._apply(watts, plan, end)
 
     def _feed_one(self, watts: float, remaining: float) -> float:
         """One reference iteration; returns the remaining time."""
@@ -192,49 +184,65 @@ class PowerMeter:
         self.total_energy_joules += watts * step
         self._now += step
         remaining -= step
-        if self._window_time >= self.sample_interval_s - 1e-12:
+        if self._window_time >= self.sample_interval_s - WINDOW_EPS_S:
             self._emit()
         return remaining
 
     def _feed_reference(self, watts: float, dt: float) -> None:
-        """The original scalar loop (kept as the differential oracle)."""
-        if dt < 0:
-            raise SimulationError("dt must be non-negative")
+        """The window-at-a-time oracle: :meth:`feed` without blocks."""
         if watts < 0:
             raise SimulationError("negative system power")
-        remaining = dt
-        while remaining > 0.0:
-            remaining = self._feed_one(watts, remaining)
+        drain, whole, tail = self._plan(dt)
+        if drain > 0.0:
+            self._feed_one(watts, drain)
+        for _ in range(whole):
+            self._feed_one(watts, self.sample_interval_s)
+        if tail > 0.0:
+            self._feed_one(watts, tail)
 
-    def _emit_whole_windows(self, watts: float, count: int) -> None:
-        """Bulk-emit ``count`` whole windows at constant ``watts``.
+    def _emit_whole_windows(self, watts: float, count: int,
+                            end: Optional[float] = None) -> float:
+        """Emit ``count`` whole windows at constant ``watts``.
 
         Entered only with an empty accumulation window, so every
         window repeats the same scalar arithmetic the reference loop
         would perform: energy ``watts * interval``, duration exactly
-        one interval, mean ``(watts * interval) / interval``.
+        one interval, mean ``(watts * interval) / interval``.  ``end``
+        is the run's last sample time when a phase-aligned cohort
+        lead already computed it; returns that time.
         """
         interval = self.sample_interval_s
         window_energy = watts * interval
         mean = window_energy / interval
-        # Running chains, sequential through cumsum (element 0 seeds
-        # the chain with the current scalar value).
-        chain = np.empty(count + 1)
-        chain[0] = self._now
-        chain[1:] = interval
-        times = np.cumsum(chain)[1:]
-        self._now = float(times[-1])
-        chain[0] = self.total_energy_joules
-        chain[1:] = window_energy
-        self.total_energy_joules = float(np.cumsum(chain)[-1])
+        seed = self._now
+        self.total_energy_joules = _chain(self.total_energy_joules,
+                                          window_energy, count)
         if self.noise_fraction > 0.0:
+            times = _running(seed, interval, count)
             draws = self._rng.normal(0.0, self.noise_fraction, count)
             means = np.maximum(0.0, mean * (1.0 + draws))
-        else:
-            means = np.full(count, mean)
-        self._sample_times.extend(times.tolist())
-        self._sample_watts.extend(means.tolist())
-        self._sample_windows.extend([interval] * count)
+            self._sample_times.extend(times.tolist())
+            self._sample_watts.extend(means.tolist())
+            self._sample_windows.extend([interval] * count)
+            self._now = float(times[-1])
+            return self._now
+        if end is None:
+            end = _chain(seed, interval, count)
+        self._now = end
+        position = len(self._sample_times)
+        self._block_samples += count
+        if self._blocks:
+            last = self._blocks[-1]
+            if (last[0] == position and last[5] == seed
+                    and last[2] == interval and last[4] == mean):
+                # The run continues the previous block's time chain
+                # with no sample in between: one longer block has the
+                # same materialization.
+                last[3] += count
+                last[5] = end
+                return end
+        self._blocks.append([position, seed, interval, count, mean, end])
+        return end
 
     def _emit(self) -> None:
         mean_watts = self._window_energy / self._window_time
@@ -253,7 +261,7 @@ class PowerMeter:
         Sub-nanosecond residue from float accumulation is discarded
         rather than emitted as a bogus duplicate sample.
         """
-        if self._window_time > 1e-9:
+        if self._window_time > WINDOW_EPS_S:
             self._emit()
         else:
             self._window_energy = 0.0
@@ -271,12 +279,37 @@ class PowerMeter:
         """Emitted samples so far, without materializing the arrays
         (:meth:`samples` copies the whole history — too heavy for the
         per-barrier checkpoint digests that only need the count)."""
-        return len(self._sample_times)
+        return len(self._sample_times) + self._block_samples
+
+    def _materialize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(times, watts, windows) arrays, blocks expanded in place."""
+        times = np.asarray(self._sample_times, dtype=float)
+        watts = np.asarray(self._sample_watts, dtype=float)
+        windows = np.asarray(self._sample_windows, dtype=float)
+        if not self._blocks:
+            return times, watts, windows
+        parts: Tuple[list, list, list] = ([], [], [])
+        cursor = 0
+        for position, seed, interval, count, mean, _ in self._blocks:
+            for part, column in zip(parts, (times, watts, windows)):
+                part.append(column[cursor:position])
+            parts[0].append(_running(seed, interval, count))
+            parts[1].append(np.full(count, mean))
+            parts[2].append(np.full(count, interval))
+            cursor = position
+        for part, column in zip(parts, (times, watts, windows)):
+            part.append(column[cursor:])
+        return tuple(np.concatenate(part) for part in parts)
 
     def samples(self) -> Tuple[np.ndarray, np.ndarray]:
         """(times, watts) arrays of emitted samples."""
-        return (np.asarray(self._sample_times, dtype=float),
-                np.asarray(self._sample_watts, dtype=float))
+        times, watts, _ = self._materialize()
+        return times, watts
+
+    def sample_windows(self) -> np.ndarray:
+        """Each emitted sample's window length, aligned with
+        :meth:`samples` (a flushed final sample may be partial)."""
+        return self._materialize()[2]
 
     def voltage_current_samples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(times, volts, amps) — the raw channels the Agilent reports."""
@@ -296,10 +329,9 @@ class PowerMeter:
         """
         if end < start:
             raise SimulationError("end before start")
-        times, watts = self.samples()
         total = 0.0
-        for time, power, window in zip(times, watts,
-                                       self._sample_windows):
+        for time, power, window in zip(
+                *(column.tolist() for column in self._materialize())):
             window_start = time - window
             overlap = min(end, time) - max(start, window_start)
             if overlap > 0:
@@ -318,14 +350,12 @@ class PowerMeter:
         Used to compute Table 1's "Active Time" from the measured
         trace (active = baseline + radio plateau present).
         """
-        _, watts = self.samples()
-        windows = np.asarray(self._sample_windows, dtype=float)
+        _, watts, windows = self._materialize()
         return float(windows[watts > threshold_watts].sum())
 
     def energy_above(self, threshold_watts: float) -> float:
         """Energy within samples above the threshold (Table 1's
         "Active Energy")."""
-        _, watts = self.samples()
-        windows = np.asarray(self._sample_windows, dtype=float)
+        _, watts, windows = self._materialize()
         mask = watts > threshold_watts
         return float((watts[mask] * windows[mask]).sum())

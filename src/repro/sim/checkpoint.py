@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import CheckpointError
 from .world import World
@@ -46,23 +47,33 @@ METHOD_PICKLE = "pickle"
 METHOD_REPLAY = "replay"
 
 
-def _device_state_lines(runtime, name: str) -> List[str]:
-    """The bit-exact state of one device, as stable hashable lines."""
-    return [
-        name,
-        str(runtime.clock.ticks),
-        runtime.clock.now.hex(),
-        str(runtime.fast_forwarded_ticks),
-        str(runtime.span_refusals),
-        str(runtime.radio.activation_count),
-        str(runtime.netd.stats.operations),
-        runtime.netd.stats.total_wait_seconds.hex(),
-        runtime.netd.pool.level.hex(),
-        runtime.battery.charge_joules.hex(),
-        runtime.meter.total_energy_joules.hex(),
-        str(runtime.meter.sample_count),
-        ",".join(r.level.hex() for r in runtime.graph.reserves),
-    ]
+def _device_state(runtime, name: str) -> bytes:
+    """The bit-exact state of one device, packed for hashing.
+
+    Counts pack as 64-bit integers and every float as its IEEE-754
+    bits (bit-exact, like ``float.hex`` but without formatting a
+    string per field — the digest runs at every shard barrier).  The
+    name and the reserve count are length-prefixed, so no two states
+    pack to the same bytes.
+    """
+    levels = [reserve.level for reserve in runtime.graph.reserves]
+    label = name.encode()
+    return b"".join((
+        _LENGTHS.pack(len(label), len(levels)), label,
+        _COUNTS.pack(runtime.clock.ticks, runtime.fast_forwarded_ticks,
+                     runtime.span_refusals,
+                     runtime.radio.activation_count,
+                     runtime.netd.stats.operations,
+                     runtime.meter.sample_count),
+        struct.pack(f"<{5 + len(levels)}d", runtime.clock.now,
+                    runtime.netd.stats.total_wait_seconds,
+                    runtime.netd.pool.level,
+                    runtime.battery.charge_joules,
+                    runtime.meter.total_energy_joules, *levels)))
+
+
+_LENGTHS = struct.Struct("<II")
+_COUNTS = struct.Struct("<6q")
 
 
 def world_digest(world: World) -> str:
@@ -75,13 +86,9 @@ def world_digest(world: World) -> str:
     deliberately excluded — they may differ between a restored world
     and the original without changing a single sample.
     """
-    digest = hashlib.sha256()
-    for name, runtime in world._by_name.items():
-        for line in _device_state_lines(runtime, name):
-            digest.update(line.encode())
-            digest.update(b"\x1f")
-        digest.update(b"\x1e")
-    return digest.hexdigest()
+    return hashlib.sha256(b"".join(
+        _device_state(runtime, name)
+        for name, runtime in world._by_name.items())).hexdigest()
 
 
 @dataclass
@@ -102,16 +109,25 @@ class Checkpoint:
     method: str
 
 
-def snapshot_world(world: World) -> bytes:
+def snapshot_world(world: World, digest: Optional[str] = None) -> bytes:
     """Pickle ``world``, validated by a digest round-trip.
 
-    The returned blob embeds the state digest; :func:`restore_snapshot`
-    re-validates on load.  Raises :class:`CheckpointError` when the
-    world refuses to pickle (live generator programs, probe closures)
-    or when the round-trip does not reproduce the digest — a snapshot
-    that cannot prove itself is worse than none.
+    The returned blob embeds the state digest (``digest``, when the
+    caller already computed it); :func:`restore_snapshot` re-validates
+    on load.  Raises :class:`CheckpointError` when the world refuses
+    to pickle (live generator programs, probe closures) or when the
+    round-trip does not reproduce the digest — a snapshot that cannot
+    prove itself is worse than none.  A world with a live program is
+    refused before pickling starts: generators never pickle, and the
+    failed attempt would cost more than the replay-recipe checkpoint.
     """
-    digest = world_digest(world)
+    if any(not process.finished for runtime in world.devices
+           for process in runtime.processes):
+        raise CheckpointError(
+            "world state refused to snapshot: live simulated programs "
+            "(generators do not pickle)")
+    if digest is None:
+        digest = world_digest(world)
     try:
         payload = pickle.dumps((digest, world),
                                protocol=pickle.HIGHEST_PROTOCOL)
@@ -163,7 +179,7 @@ def capture(world: World, barrier: int,
     method = METHOD_REPLAY
     if try_pickle:
         try:
-            payload = snapshot_world(world)
+            payload = snapshot_world(world, digest)
             method = METHOD_PICKLE
         except CheckpointError:
             payload = None

@@ -155,6 +155,14 @@ class DeviceRuntime:
         #: — the engine itself never batches; the counter lives here so
         #: sharded digests can carry it per device.
         self.independent_cohort_spans = 0
+        #: Telemetry: committed spans per the name of the event source
+        #: whose instant ended them (``"deadline"`` when the run's
+        #: deadline did; ``"fleet"`` when a lockstep world cut the
+        #: span at another device's event).  Kept out of state
+        #: digests: it describes how a run was cut, not its outcome.
+        self.span_ends: Dict[str, int] = {}
+        self._span_target = -1
+        self._span_bound = "deadline"
         # -- the event-source horizon: everything that can end (or
         #    forbid) an idle span registers here; the engine itself is
         #    a generic min-over-sources loop --
@@ -350,13 +358,58 @@ class DeviceRuntime:
                                         radio_watts=radio_watts)
         self.meter.feed(power, dt)
         self.battery.drain(power * dt)
-        if now - self._last_record >= self.record_interval_s - 1e-12:
+        if self._record_due(now):
             self.trace.record("power.system", now, power)
             self.trace.record("power.radio", now, radio_watts)
             self.trace.sample_probes(now)
             self._last_record = now
 
         self.clock.advance()
+
+    def _record_due(self, now: float) -> bool:
+        """The record cadence: due once ``record_interval_s`` has
+        passed since the last record (with a 1e-12 s slack)."""
+        return now - self._last_record >= self.record_interval_s - 1e-12
+
+    def _next_record(self) -> float:
+        """The earliest instant the next trace record can fall due."""
+        return self._last_record + self.record_interval_s
+
+    def _record_span(self, ticks: int, power: float,
+                     radio_watts: float) -> None:
+        """Write the power records falling due inside a committed span.
+
+        A probe-free device's span is not ended by the record cadence
+        (see :class:`~repro.sim.events.TraceCadenceSource`), so every
+        tick ``k`` in ``[k0, k0 + ticks)`` whose :meth:`step` would
+        have recorded is found here in closed form, with
+        :meth:`_record_due` at ``now = k * tick_s`` — the exact instant
+        and test the tick loop uses.  Power is constant across the
+        span, so the values are the ones :meth:`step` would write.
+        """
+        tick_s = self.clock.tick_s
+        k = self.clock.ticks
+        end = k + ticks
+        times: List[float] = []
+        while k < end:
+            due = self._next_record()
+            if math.isfinite(due):
+                # The 1e-12 s slack moves the due tick at most one
+                # tick before the nominal ceil; the scan below decides.
+                k = max(k, math.ceil(due / tick_s) - 1)
+            elif due > 0.0:
+                break  # an infinite interval never records again
+            while k < end and not self._record_due(k * tick_s):
+                k += 1
+            if k >= end:
+                break
+            now = k * tick_s
+            times.append(now)
+            self._last_record = now
+            k += 1
+        if times:
+            self.trace.record_run("power.system", times, power)
+            self.trace.record_run("power.radio", times, radio_watts)
 
     def run(self, duration_s: float) -> None:
         """Step until ``duration_s`` of simulated time has elapsed.
@@ -381,9 +434,11 @@ class DeviceRuntime:
         """Step until ``predicate()`` or ``max_s``; returns elapsed time.
 
         Shares :meth:`run`'s macro-step loop: the predicate is checked
-        after every normal step and at every event horizon (trace
-        records bound spans to one record interval, so a predicate is
-        never starved longer than that).
+        after every normal step and at every event horizon.  Each
+        span is also capped at the next trace-record instant, so a
+        predicate is never starved longer than one record interval and
+        returns at the same instant whether or not the record cadence
+        ends spans (it does only on devices with trace probes).
         """
         start = self.clock.now
         deadline = start + max_s
@@ -391,7 +446,8 @@ class DeviceRuntime:
             if self.clock.now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
-            ticks = self._ff_horizon_ticks(deadline)
+            ticks = self._ff_horizon_ticks(min(deadline,
+                                               self._next_record()))
             if ticks and self._ff_advance(ticks):
                 continue
             self.step()
@@ -453,6 +509,10 @@ class DeviceRuntime:
         ticks = target_tick - clock.ticks
         if ticks < 2:
             return 0, True, True  # nothing to amortize
+        bound = self.horizon.bound
+        self._span_target = target_tick
+        self._span_bound = ("deadline" if bound is None
+                            else getattr(bound, "name", type(bound).__name__))
         return ticks, firm, executes
 
     def _ff_advance(self, ticks: int) -> bool:
@@ -545,14 +605,20 @@ class DeviceRuntime:
         now = clock.now
         span = ticks * clock.tick_s
         self._span_refusing = False
+        end = clock.ticks + ticks
+        bound = self._span_bound if end == self._span_target else "fleet"
+        self.span_ends[bound] = self.span_ends.get(bound, 0) + 1
         self.horizon.advance_span(now, span)
         radio_watts = self.radio.power_above_baseline(now)
         if self._power_sources:
             radio_watts += sum(source(now)
                                for source in self._power_sources)
-        return self.model.system_power(cpu_busy=False,
-                                       backlight_on=self.backlight_on,
-                                       radio_watts=radio_watts)
+        power = self.model.system_power(cpu_busy=False,
+                                        backlight_on=self.backlight_on,
+                                        radio_watts=radio_watts)
+        if not self.trace.has_probes:
+            self._record_span(ticks, power, radio_watts)
+        return power
 
     def _ff_commit_finish(self, ticks: int, power: float) -> None:
         """Second half of :meth:`_ff_commit`: the caller has fed the

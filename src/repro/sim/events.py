@@ -118,6 +118,9 @@ class Horizon:
         self._veto_checks: List[Callable[[float], bool]] = []
         self._event_checks: List[Tuple[Callable[[float], Optional[float]],
                                        EventSource]] = []
+        #: The source that bound the last :meth:`poll` (None: the
+        #: deadline did) — span-end attribution for the engine.
+        self.bound: Optional[EventSource] = None
 
     def _classify(self, source: EventSource) -> None:
         cls = type(source)
@@ -186,8 +189,10 @@ class Horizon:
         requires a normal step or merely closes a constant-power span
         (:attr:`EventSource.horizon_executes`).  A non-quiescent
         answer is reported firm: the veto must be re-examined every
-        iteration anyway.
+        iteration anyway.  :attr:`bound` is left naming the source
+        whose instant is the min (None when ``deadline`` is).
         """
+        self.bound = None
         for quiescent in self._veto_checks:
             if not quiescent(now):
                 return False, now, True, True
@@ -198,6 +203,7 @@ class Horizon:
             instant = next_event(now)
             if instant is not None and instant < horizon:
                 horizon = instant
+                self.bound = source
                 firm = bool(getattr(source, "horizon_firm", True))
                 executes = bool(getattr(source, "horizon_executes", True))
         return True, horizon, firm, executes
@@ -261,7 +267,16 @@ class SleeperHeapSource(EventSource):
 
 
 class TraceCadenceSource(EventSource):
-    """The next trace-record instant: bounds every span to one interval."""
+    """The next trace-record instant, on devices with trace probes.
+
+    Probes are opaque callables over live state (reserve levels), so
+    a record that samples them must run as a normal step: on such a
+    device every record instant ends the span.  A probe-free device
+    records only power, which is constant across a span, so the
+    engine writes those records in closed form when it commits the
+    span (:meth:`~repro.sim.engine.DeviceRuntime._record_span`) and
+    this source reports no event.
+    """
 
     name = "trace"
 
@@ -270,7 +285,9 @@ class TraceCadenceSource(EventSource):
 
     def next_event(self, now: float) -> Optional[float]:
         runtime = self._runtime
-        return runtime._last_record + runtime.record_interval_s
+        if not runtime.trace.has_probes:
+            return None
+        return runtime._next_record()
 
 
 class RadioSource(EventSource):

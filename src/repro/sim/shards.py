@@ -605,6 +605,14 @@ class ShardedWorld:
         :attr:`FleetReport.forced_terminations`).
         """
         processes = list(getattr(pool, "_processes", {}).values())
+        # The executor's manager thread joins the workers too.  Two
+        # threads waiting on one child race in ``waitpid``: the loser
+        # gets ECHILD, ``is_alive()`` reads the reaped worker as alive,
+        # and a clean teardown counts a forced kill or leaves the
+        # child listed as active.  So the manager finishes first (it
+        # stays blocked only on a worker that really ignored SIGTERM);
+        # ``shutdown`` drops the pool's reference to it, so take it now.
+        manager = getattr(pool, "_executor_manager_thread", None)
         for proc in processes:
             try:
                 proc.terminate()
@@ -614,6 +622,8 @@ class ShardedWorld:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - broken executor races
             pass
+        if manager is not None:
+            manager.join(timeout=drain_timeout_s)
         forced = 0
         for proc in processes:
             proc.join(timeout=drain_timeout_s)

@@ -33,6 +33,17 @@ class TimeSeries:
         self._times.append(time)
         self._values.append(value)
 
+    def extend(self, times: Sequence[float], value: float) -> None:
+        """Add ``value`` at each of the non-decreasing ``times``."""
+        if not times:
+            return
+        if self._times and times[0] < self._times[-1] - 1e-12:
+            raise SimulationError(
+                f"series {self.name!r}: time went backward "
+                f"({times[0]} < {self._times[-1]})")
+        self._times.extend(times)
+        self._values.extend([value] * len(times))
+
     # -- access -------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -147,6 +158,17 @@ class TraceRecorder:
     def record(self, name: str, time: float, value: float) -> None:
         """Append one sample to the named series."""
         self.series(name).append(time, value)
+
+    def record_run(self, name: str, times: Sequence[float],
+                   value: float) -> None:
+        """Append ``value`` at each of ``times`` to the named series
+        (a constant-power span's records, written in one call)."""
+        self.series(name).extend(times, value)
+
+    @property
+    def has_probes(self) -> bool:
+        """True once any probe is registered."""
+        return bool(self._probes)
 
     def add_probe(self, name: str, fn: Callable[[], float]) -> None:
         """Register a probe the engine samples on every record interval.

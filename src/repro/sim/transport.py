@@ -76,10 +76,14 @@ HEARTBEAT_INTERVAL_S = 0.5
 Address = Tuple[str, int]
 
 
-def _recv_exact(sock: socket.socket, count: int,
-                deadline: Optional[float]) -> bytes:
-    """Read exactly ``count`` bytes, honoring one deadline overall."""
-    buf = bytearray()
+def _recv_into(sock: socket.socket, buf: bytearray, count: int,
+               deadline: Optional[float]) -> None:
+    """Read until ``buf`` holds ``count`` bytes, honoring one deadline.
+
+    Bytes already read stay in ``buf`` when the deadline passes, so a
+    caller that keeps ``buf`` (:class:`Connection`) resumes the frame
+    on its next read instead of mistaking payload for a header.
+    """
     while len(buf) < count:
         if deadline is None:
             sock.settimeout(None)
@@ -101,7 +105,6 @@ def _recv_exact(sock: socket.socket, count: int,
         if not chunk:
             raise TransportError("peer closed the connection mid-frame")
         buf += chunk
-    return bytes(buf)
 
 
 def send_msg(sock: socket.socket, obj: object,
@@ -121,17 +124,26 @@ def send_msg(sock: socket.socket, obj: object,
         raise TransportError(f"send failed: {exc!r}") from exc
 
 
-def recv_msg(sock: socket.socket,
-             timeout_s: Optional[float] = None) -> object:
-    """Receive one frame; the deadline covers header and payload."""
+def recv_msg(sock: socket.socket, timeout_s: Optional[float] = None,
+             pending: Optional[bytearray] = None) -> object:
+    """Receive one frame; the deadline covers header and payload.
+
+    ``pending`` is the connection's receive buffer: the bytes of a
+    frame whose read timed out part-way stay there and the next call
+    completes that frame.  Without it a timeout discards them.
+    """
     deadline = (None if timeout_s is None
                 else time.monotonic() + timeout_s)
-    header = _recv_exact(sock, _HEADER.size, deadline)
-    (length,) = _HEADER.unpack(header)
+    buf = bytearray() if pending is None else pending
+    _recv_into(sock, buf, _HEADER.size, deadline)
+    (length,) = _HEADER.unpack_from(buf)
     if length > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame header claims {length} bytes — corrupt stream")
-    payload = _recv_exact(sock, length, deadline)
+    end = _HEADER.size + length
+    _recv_into(sock, buf, end, deadline)
+    payload = bytes(buf[_HEADER.size:end])
+    del buf[:end]
     try:
         return pickle.loads(payload)
     except Exception as exc:
@@ -143,13 +155,17 @@ class Connection:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        #: Bytes of a frame whose read timed out part-way (a
+        #: heartbeat slice of :meth:`SlotClient.collect` expiring
+        #: mid-frame); the next :meth:`recv` resumes from them.
+        self._pending = bytearray()
 
     def send(self, obj: object,
              timeout_s: Optional[float] = None) -> None:
         send_msg(self._sock, obj, timeout_s)
 
     def recv(self, timeout_s: Optional[float] = None) -> object:
-        return recv_msg(self._sock, timeout_s)
+        return recv_msg(self._sock, timeout_s, self._pending)
 
     def close(self) -> None:
         try:

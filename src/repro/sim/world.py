@@ -239,6 +239,16 @@ class World:
         """Switching-engine segments executed across the fleet."""
         return sum(d.span_segments for d in self.devices)
 
+    @property
+    def span_ends(self) -> Dict[str, int]:
+        """Committed spans per ending source, summed over the fleet
+        (see :attr:`~repro.sim.engine.DeviceRuntime.span_ends`)."""
+        totals: Dict[str, int] = {}
+        for device in self.devices:
+            for name, count in device.span_ends.items():
+                totals[name] = totals.get(name, 0) + count
+        return totals
+
     def uniform_grid(self) -> bool:
         """True iff every device shares the world's tick size."""
         return all(d.clock.tick_s == self.tick_s for d in self.devices)
@@ -716,8 +726,8 @@ class World:
         * **lockstep** (``independent=False``; the default on a
           uniform tick grid) — the global min-horizon iteration,
           cohort-batched when :attr:`batched`.  Best when the fleet's
-          events align (shared record cadences, synchronized
-          workloads): one iteration serves everyone.
+          events align (synchronized workloads, shared record
+          cadences on probed devices): one iteration serves everyone.
         * **independent** (``independent=True``; the default — and
           only option — on mixed tick grids) — each device
           macro-steps *on its own horizon* to the next shared clock
@@ -800,9 +810,12 @@ class World:
         """Run until ``predicate()`` or ``max_s``; returns elapsed time.
 
         The predicate is checked after every world iteration — every
-        normal tick and every global event horizon.  Requires a
-        uniform tick grid (mixed-grid fleets only synchronize at
-        barriers, which would starve the predicate).
+        normal tick and every global event horizon — and each
+        iteration is capped at the fleet's next trace-record instant,
+        as :meth:`~repro.sim.engine.DeviceRuntime.run_until` caps a
+        single device.  Requires a uniform tick grid (mixed-grid
+        fleets only synchronize at barriers, which would starve the
+        predicate).
         """
         if not self.devices:
             raise SimulationError("world has no devices")
@@ -818,10 +831,12 @@ class World:
             if self.now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
+            cap = min(deadline,
+                      min(d._next_record() for d in self.devices))
             if self.batched:
-                self._advance_once_batched(deadline)
+                self._advance_once_batched(cap)
             else:
-                self._advance_once(deadline)
+                self._advance_once(cap)
         return self.now - start
 
     # -- checkpointing -----------------------------------------------------------

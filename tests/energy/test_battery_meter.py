@@ -103,6 +103,64 @@ class TestMeter:
             PowerMeter().feed(-1.0, 1.0)
 
 
+def assert_same_samples(a: PowerMeter, b: PowerMeter) -> None:
+    """Bit-for-bit equal sample streams: times, means, window lengths."""
+    assert a.sample_count == b.sample_count
+    for x, y in zip(a.samples(), b.samples()):
+        assert np.array_equal(x, y)
+    assert np.array_equal(a.sample_windows(), b.sample_windows())
+
+
+class TestFeedDecomposition:
+    """Where a run is cut into feeds must not move a window close."""
+
+    @pytest.mark.parametrize("seconds", [60.0, 600.0])
+    def test_one_span_n_spans_and_ticks_agree(self, seconds):
+        tick = 0.01
+        ticks = round(seconds / tick)
+        rng = np.random.default_rng(5)
+        cuts = np.unique(np.concatenate(
+            ([0, ticks], rng.integers(1, ticks, 40))))
+        one, many, ticked = PowerMeter(), PowerMeter(), PowerMeter()
+        one.feed(0.73, ticks * tick)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            many.feed(0.73, int(b - a) * tick)
+        for _ in range(ticks):
+            ticked.feed(0.73, tick)
+        expected = round(seconds / one.sample_interval_s)
+        reference = one.samples()[0]
+        assert len(reference) == expected
+        for meter in (many, ticked):
+            times, watts = meter.samples()
+            assert len(times) == expected
+            assert np.abs(times - reference).max() <= 1e-9
+            assert watts == pytest.approx(0.73, rel=1e-12)
+            assert meter.total_energy_joules == pytest.approx(
+                one.total_energy_joules, rel=1e-9)
+
+    def test_long_span_closes_every_window(self):
+        # A day fed as one span: the window count comes from one
+        # division, so float drift in a running remainder cannot leave
+        # the last window open.
+        meter = PowerMeter()
+        meter.feed(0.7, 8_640_000 * 0.01)
+        assert meter.sample_count == 432_000
+        assert meter.now == meter.samples()[0][-1]
+
+    def test_constant_runs_are_stored_as_blocks(self):
+        meter, reference = PowerMeter(), PowerMeter()
+        for watts, dt in ((0.5, 600.0), (0.5, 600.0), (1.0, 0.13),
+                          (1.0, 60.0)):
+            meter.feed(watts, dt)
+            reference._feed_reference(watts, dt)
+        assert_same_samples(meter, reference)
+        # The two 600 s spans continue one time chain: one block.  The
+        # 0.13 s feed opens a window the next span drains (one scalar
+        # sample) before its own block.
+        assert [block[3] for block in meter._blocks] == [6000, 299]
+        assert len(meter._sample_times) == 1
+
+
 class TestFeedCohort:
     """The cohort-batched feed must be float-identical to feeding
     each meter alone — the independent scheduler's commit relies on
@@ -123,9 +181,7 @@ class TestFeedCohort:
         for meter in solo:
             meter.feed(watts, dt)
         for a, b in zip(cohort, solo):
-            assert a._sample_times == b._sample_times
-            assert a._sample_watts == b._sample_watts
-            assert a._sample_windows == b._sample_windows
+            assert_same_samples(a, b)
             assert a.total_energy_joules == b.total_energy_joules
             assert a._window_time == b._window_time
             assert a._window_energy == b._window_energy
@@ -153,7 +209,7 @@ class TestFeedCohort:
         cohort[0].feed_cohort(cohort[1:], 0.5, 3.0)
         lead_solo.feed(0.5, 3.0)
         assert cohort[0].total_energy_joules == lead_solo.total_energy_joules
-        assert cohort[0]._sample_times == lead_solo._sample_times
+        assert_same_samples(cohort[0], lead_solo)
 
 
 class TestCalibration:

@@ -24,7 +24,8 @@ from repro.energy.meter import PowerMeter
 from repro.sim.engine import CinderSystem
 from repro.sim.events import EventSource, PeriodicSource
 from repro.sim.process import CpuBurn, Sleep
-from repro.sim.workload import fleet_of_pollers, periodic_poller
+from repro.sim.workload import (fleet_of_pollers, periodic_poller,
+                                staggered_poller_shard)
 from repro.sim.world import World
 
 from ..conftest import make_system
@@ -161,6 +162,43 @@ class TestRunUntilFastForwards:
                 assert system.fast_forwarded_ticks > 10_000
         assert elapsed["fast"] == elapsed["slow"]
 
+    def test_reserve_threshold_returns_on_the_ticking_instant(self):
+        """A predicate over a continuously filling reserve.  Records do
+        not end a probe-free device's spans, so ``run_until`` caps
+        each span at the next record instant itself: the predicate is
+        checked at every record and on the tick after it.  With the
+        crossing half a tick after a record instant, the
+        fast-forwarded run returns on the same tick as ticking."""
+        elapsed = {}
+        for fast_forward in (True, False):
+            system = make_system(fast_forward=fast_forward,
+                                 record_interval_s=1.0)
+            reserve = system.powered_reserve(0.1, name="fill")
+            # level(t) = 0.1 W * t crosses 0.7005 J at t = 7.005 s.
+            elapsed[fast_forward] = system.run_until(
+                lambda: reserve.level >= 0.7005, max_s=100.0)
+            if fast_forward:
+                assert system.fast_forwarded_ticks > 600
+                assert system.span_ends.get("trace", 0) == 0
+        assert elapsed[True] == elapsed[False]
+        assert elapsed[True] == pytest.approx(7.01)
+
+    def test_world_reserve_threshold_returns_on_the_ticking_instant(self):
+        elapsed = {}
+        for fast_forward in (True, False):
+            world = World(tick_s=0.01, seed=4, fast_forward=fast_forward)
+            reserves = []
+            for i, interval in enumerate((1.0, 0.7)):
+                device = world.add_device(record_interval_s=interval,
+                                          decay_enabled=False)
+                reserves.append(device.powered_reserve(0.1, name=f"r{i}"))
+            elapsed[fast_forward] = world.run_until(
+                lambda: reserves[0].level >= 0.7005, max_s=100.0)
+            if fast_forward:
+                assert world.fast_forwarded_ticks > 600
+        assert elapsed[True] == elapsed[False]
+        assert elapsed[True] == pytest.approx(7.01)
+
     def test_run_until_timeout_still_raises(self):
         from repro.errors import SimulationError
         system = make_system(fast_forward=True)
@@ -236,6 +274,46 @@ class TestWorld:
             world.add_device(tick_s=0.02)
 
 
+class TestSpanEndAttribution:
+    """``span_ends`` names the source whose instant ended each span."""
+
+    def test_probe_free_records_end_no_span(self):
+        world = World(tick_s=0.01, seed=3)
+        staggered_poller_shard(world, 0, 8, watts=0.02, period_s=120.0,
+                               bytes_out=64, record_interval_s=5.0,
+                               decay_enabled=False)
+        world.run(300.0, independent=True)
+        ends = world.span_ends
+        assert ends.get("trace", 0) == 0
+        assert ends["deadline"] == 8
+        assert sum(ends.values()) == sum(
+            sum(d.span_ends.values()) for d in world.devices)
+        # The records are still written, inside the spans.
+        for device in world.devices:
+            times = device.trace.series("power.system").times
+            assert np.array_equal(times, np.arange(60) * 5.0)
+
+    def test_probes_end_one_span_per_interval(self):
+        system = make_system(record_interval_s=5.0)
+        reserve = system.powered_reserve(0.07, name="app")
+        system.watch_reserve(reserve)
+        system.run(600.0)
+        # Records at 0, 5, ..., 595 s: each ends the span opened after
+        # the previous one, and the last span ends at the deadline.
+        assert system.span_ends == {"trace": 119, "deadline": 1}
+        assert len(system.trace.series("reserve.app")) == 120
+
+    def test_span_ends_stay_out_of_the_digest(self):
+        from repro.sim.checkpoint import world_digest
+        world = World(tick_s=0.01, seed=3)
+        device = world.add_device(record_interval_s=5.0)
+        device.powered_reserve(0.07, name="app")
+        world.run(60.0)
+        before = world_digest(world)
+        device.span_ends["trace"] = 99
+        assert world_digest(world) == before
+
+
 class TestDeviceEventSources:
     def test_power_only_device_no_longer_vetoes(self):
         fast, slow = (make_system(fast_forward=ff, record_interval_s=1.0)
@@ -298,7 +376,7 @@ class TestMeterVectorizedFeed:
             ref._feed_reference(watts, dt)
         assert np.array_equal(vec.samples()[0], ref.samples()[0])
         assert np.array_equal(vec.samples()[1], ref.samples()[1])
-        assert vec._sample_windows == ref._sample_windows
+        assert np.array_equal(vec.sample_windows(), ref.sample_windows())
         assert vec.total_energy_joules == ref.total_energy_joules
         assert vec._now == ref._now
         assert vec._window_time == ref._window_time

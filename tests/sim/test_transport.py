@@ -11,6 +11,7 @@ daemon that serves the build/run/finish verbs and tears down cleanly.
 from __future__ import annotations
 
 import functools
+import pickle
 import socket
 import threading
 
@@ -65,6 +66,28 @@ class TestFraming:
                 transport.recv_msg(b, timeout_s=2.0)
         finally:
             b.close()
+
+    @pytest.mark.parametrize("cut", [3, None])
+    def test_timed_out_read_resumes_mid_frame(self, cut):
+        """A heartbeat slice may expire mid-frame: the bytes already
+        read stay in the connection's buffer and the next read
+        completes the frame (cut inside the header, or mid-payload)."""
+        a, b = _pair()
+        try:
+            conn = transport.Connection(b)
+            payload = {"verb": "run", "seq": 9, "chunks": list(range(200))}
+            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            frame = transport._HEADER.pack(len(body)) + body
+            cut = len(frame) // 2 if cut is None else cut
+            a.sendall(frame[:cut])
+            with pytest.raises(TransportTimeout):
+                conn.recv(timeout_s=0.05)
+            a.sendall(frame[cut:])
+            assert conn.recv(timeout_s=2.0) == payload
+            transport.send_msg(a, {"n": 1})
+            assert conn.recv(timeout_s=2.0) == {"n": 1}
+        finally:
+            a.close(), b.close()
 
     def test_corrupt_length_prefix_refused(self):
         a, b = _pair()
