@@ -23,13 +23,14 @@ Tracks the hot paths this repo's performance work targets:
   engine must macro-step through the located switch instants with
   zero refusals.
 * **fleet** — a 50-device :class:`~repro.sim.world.World` of
-  staggered pollers on the global min-horizon scheduler; wall-clock
-  for 10 simulated minutes plus a speedup estimate from a
-  tick-by-tick slice.
-* **fleet_1k_staggered** — the event-time-bucketed independent
-  scheduler's headline: 1000 pollers with *randomized* poll phases
-  (no comb of coinciding wakes), best-of-3 us/device-second plus the
-  frontier-round and stacked-vs-scalar cohort span counts.
+  staggered pollers on the frontier scheduler; wall-clock for 10
+  simulated minutes plus a speedup estimate from a tick-by-tick
+  slice.
+* **fleet_1k_staggered** — the frontier scheduler's headline: 1000
+  pollers with *randomized* poll phases (no comb of coinciding
+  wakes), best-of-3 us/device-second against the per-device oracle
+  loop timed in the same run, plus the frontier-round and
+  stacked-vs-scalar cohort span counts.
 
 Run from the repo root (writes ``BENCH_core.json`` next to this
 checkout's ROADMAP)::
@@ -47,6 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -87,13 +89,8 @@ FLEET_SCALING_DEVICES = (50, 200, 1000)
 FLEET_1K_SIM_S = 600.0
 FLEET_SCALING_RECORD_S = 5.0
 #: The staggered headline point: randomized poll phases (no two
-#: devices share a wake schedule), forced independent scheduler.
+#: devices share a wake schedule).
 FLEET_1K_STAGGERED_DEVICES = 1000
-#: us/device-second measured on the lockstep-era independent loop
-#: (one device advanced per frontier pop) right before the bucketed
-#: cohort scheduler landed — the fixed reference the entry's
-#: ``speedup_vs_pre_cohort`` field is computed against.
-FLEET_1K_STAGGERED_PRE_COHORT_US = 31.62
 #: Shard-count sensitivity sweep (0 = inline, no processes).
 FLEET_SHARD_COUNTS = (0, 2, 4)
 FLEET_SHARD_DEVICES = 200
@@ -105,6 +102,8 @@ FLEET_SHARD_SIM_S = 120.0
 FLEET_SOCKET_SHARDS = 2
 FLEET_SOCKET_HOSTS = 2
 FLEET_SOCKET_BARRIER_S = 150.0
+#: In-process/socket run pairs whose median overhead ratio is gated.
+FLEET_SOCKET_PAIRS = 5
 
 
 def build_micro_graph() -> ResourceGraph:
@@ -512,8 +511,8 @@ def run_fleet() -> dict:
         "tick_slice_s": FLEET_TICK_SLICE_S,
         "tick_slice_wall_s": round(slice_wall, 3),
         "speedup_vs_tick": round(speedup, 2),
-        "macro_steps": world.macro_steps,
-        "tick_steps": world.tick_steps,
+        "barrier_rounds": world.barrier_rounds,
+        "span_ends": world.span_ends,
         "fast_forwarded_ticks": world.fast_forwarded_ticks,
         "cohort_spans": world.cohort_spans,
         "cohort_fallbacks": world.cohort_fallbacks,
@@ -533,12 +532,10 @@ def _scaling_builder(devices: int):
 def run_fleet_scaling() -> dict:
     """The scaling curve: wall cost per device-second vs fleet size.
 
-    All points run in-process (shards=0) on the *independent*
-    scheduler — each device macro-steps on its own horizon between
-    clock barriers — so per-device cost is flat in fleet size by
-    construction; the floor asserts it stays flat (a staggered
-    1000-device fleet under the lockstep loop pays O(fleet events)
-    iterations per device and lands an order of magnitude higher).
+    All points run in-process (shards=0) on the frontier scheduler —
+    each device macro-steps on its own horizon between clock
+    barriers — so per-device cost is flat in fleet size by
+    construction; the floor asserts it stays flat.
     """
     points = []
     for devices in FLEET_SCALING_DEVICES:
@@ -576,10 +573,11 @@ def run_fleet_scaling() -> dict:
     }
 
 
-def build_staggered_fleet(devices: int,
-                          fast_forward: bool = True) -> World:
+def build_staggered_fleet(devices: int, fast_forward: bool = True,
+                          batched: bool = True) -> World:
     """Randomized poll phases — the honest independent workload."""
-    world = World(tick_s=TICK_S, seed=7, fast_forward=fast_forward)
+    world = World(tick_s=TICK_S, seed=7, fast_forward=fast_forward,
+                  batched=batched)
     staggered_poller_shard(world, 0, devices, watts=0.02,
                            period_s=300.0, bytes_out=64,
                            record_interval_s=FLEET_SCALING_RECORD_S,
@@ -590,19 +588,23 @@ def build_staggered_fleet(devices: int,
 def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
                            sim_s: float = FLEET_1K_SIM_S,
                            repeats: int = 3) -> dict:
-    """The bucketed cohort scheduler's headline: staggered 1k fleet.
+    """The frontier scheduler's headline: staggered 1k fleet.
 
     :func:`run_fleet_scaling` staggers poll starts evenly, which
     keeps a comb of coinciding wakes; here every phase is drawn
     uniformly in ``[0, period_s)``, so devices only share a frontier
     bucket when their horizons genuinely coincide — the workload the
-    event-time-bucketed independent scheduler exists for.  Best-of-
-    ``repeats`` wall (the minimum is the measurement least polluted
-    by a shared runner's scheduler noise), with the frontier-round
-    and stacked-vs-scalar span counts that prove the cohort path, not
-    per-device fallback, carried the run.
+    event-time-bucketed scheduler exists for.  Best-of-``repeats``
+    wall (the minimum is the measurement least polluted by a shared
+    runner's scheduler noise), with the frontier-round and
+    stacked-vs-scalar span counts that prove the cohort path, not
+    per-device fallback, carried the run.  The baseline is the
+    per-device ``device.run`` oracle (``batched=False``), timed in
+    the same run, alternating with the frontier, so the speedup never
+    divides by a number from another machine.
     """
     best_wall = float("inf")
+    oracle_wall = float("inf")
     world = None
     for _ in range(repeats):
         candidate = build_staggered_fleet(devices)
@@ -611,7 +613,12 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall, world = wall, candidate
+        oracle = build_staggered_fleet(devices, batched=False)
+        start = time.perf_counter()
+        oracle.run(sim_s)
+        oracle_wall = min(oracle_wall, time.perf_counter() - start)
     us_per_device_second = best_wall / (devices * sim_s) * 1e6
+    oracle_us = oracle_wall / (devices * sim_s) * 1e6
     return {
         "devices": devices,
         "simulated_s": sim_s,
@@ -619,9 +626,8 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
         "scheduler": "independent",
         "wall_s": round(best_wall, 3),
         "us_per_device_second": round(us_per_device_second, 3),
-        "pre_cohort_us_per_device_second": FLEET_1K_STAGGERED_PRE_COHORT_US,
-        "speedup_vs_pre_cohort": round(
-            FLEET_1K_STAGGERED_PRE_COHORT_US / us_per_device_second, 2),
+        "oracle_us_per_device_second": round(oracle_us, 3),
+        "speedup_vs_oracle": round(oracle_us / us_per_device_second, 2),
         "independent_rounds": world.barrier_rounds,
         "independent_cohort_spans": world.independent_cohort_spans,
         "independent_scalar_spans": world.independent_scalar_spans,
@@ -646,39 +652,45 @@ def _staggered_shard_builder():
 
 def run_fleet_socketed(devices: int = FLEET_1K_STAGGERED_DEVICES,
                        sim_s: float = FLEET_1K_SIM_S,
-                       repeats: int = 3,
+                       pairs: int = FLEET_SOCKET_PAIRS,
                        barrier_s: float = FLEET_SOCKET_BARRIER_S) -> dict:
-    """Socket-transport overhead vs in-process sharding, best-of-N.
+    """Socket-transport overhead vs in-process sharding, paired runs.
 
     The same staggered fleet, the same partition, the same barrier
     cadence — once over single-worker process pools and once over
     shard-host daemons reached by TCP (:mod:`repro.sim.hostd`).  On a
     single-core runner both sides serialize onto one CPU, so the
     difference isolates what the socket tier *adds*: framing, pickle
-    round trips, heartbeat probes and daemon spawn.  Digests are
+    round trips, heartbeat probes and daemon spawn.  The two sides
+    alternate in ``pairs`` back-to-back pairs and the overhead is the
+    median of the per-pair ratios, so host drift hits both sides of a
+    pair alike and one noisy run cannot move the result.  Digests are
     asserted bit-identical, and the floor pins the overhead ≤ 15%.
     """
     builder = _staggered_shard_builder()
 
-    def best_of(**transport_kwargs):
-        best = None
-        for _ in range(repeats):
-            fleet = ShardedWorld(builder, devices,
-                                 shards=FLEET_SOCKET_SHARDS,
-                                 tick_s=TICK_S, seed=7,
-                                 fast_forward=True, **transport_kwargs)
-            report = fleet.run(sim_s, barrier_s=barrier_s,
-                               independent=True)
-            if best is None or report.wall_s < best.wall_s:
-                best = report
-        return best
+    def one_run(**transport_kwargs):
+        fleet = ShardedWorld(builder, devices, shards=FLEET_SOCKET_SHARDS,
+                             tick_s=TICK_S, seed=7, fast_forward=True,
+                             **transport_kwargs)
+        return fleet.run(sim_s, barrier_s=barrier_s, independent=True)
 
-    in_process = best_of()
-    socketed = best_of(transport="sockets", hosts=FLEET_SOCKET_HOSTS)
-    assert socketed.digest() == in_process.digest(), \
-        "socket transport diverged from in-process sharding"
-    overhead = ((socketed.wall_s - in_process.wall_s)
-                / in_process.wall_s)
+    ratios = []
+    process_walls = []
+    socket_walls = []
+    reschedules = 0
+    terminations = 0
+    for _ in range(pairs):
+        in_process = one_run()
+        socketed = one_run(transport="sockets", hosts=FLEET_SOCKET_HOSTS)
+        assert socketed.digest() == in_process.digest(), \
+            "socket transport diverged from in-process sharding"
+        process_walls.append(in_process.wall_s)
+        socket_walls.append(socketed.wall_s)
+        ratios.append((socketed.wall_s - in_process.wall_s)
+                      / in_process.wall_s)
+        reschedules += socketed.shard_reschedules
+        terminations += socketed.forced_terminations
     return {
         "devices": devices,
         "simulated_s": sim_s,
@@ -686,12 +698,14 @@ def run_fleet_socketed(devices: int = FLEET_1K_STAGGERED_DEVICES,
         "hosts": FLEET_SOCKET_HOSTS,
         "barrier_s": barrier_s,
         "barriers": int(sim_s / barrier_s),
-        "process_wall_s": round(in_process.wall_s, 3),
-        "socket_wall_s": round(socketed.wall_s, 3),
-        "overhead_frac": round(overhead, 4),
+        "pairs": pairs,
+        "process_wall_s": round(statistics.median(process_walls), 3),
+        "socket_wall_s": round(statistics.median(socket_walls), 3),
+        "pair_overhead_fracs": [round(r, 4) for r in ratios],
+        "overhead_frac": round(statistics.median(ratios), 4),
         "digest_identical": True,
-        "shard_reschedules": socketed.shard_reschedules,
-        "forced_terminations": socketed.forced_terminations,
+        "shard_reschedules": reschedules,
+        "forced_terminations": terminations,
         "cpu_count": os.cpu_count(),
     }
 

@@ -16,9 +16,9 @@ Run with::
 
     python examples/fleet.py [devices] [duration_seconds] [shards]
 
-``shards`` 0 (default) runs in-process with the cohort-batched
-lockstep scheduler; ``shards`` >= 1 runs that many single-worker
-process shards on the independent (barrier) scheduler.
+``shards`` 0 (default) runs in-process on the frontier scheduler;
+``shards`` >= 1 runs that many single-worker process shards, each on
+its own frontier, synchronized at clock barriers.
 """
 
 import functools
@@ -37,7 +37,7 @@ def main() -> None:
     print(f"running {devices} devices for {fmt_duration(duration_s)} "
           f"of simulated time"
           + (f" across {shards} process shards..." if shards else
-             " (in-process, cohort-batched)..."))
+             " (in-process, frontier scheduler)..."))
     start = time.perf_counter()
     if shards:
         builder = functools.partial(
@@ -76,13 +76,15 @@ def main() -> None:
     print(f"\nFLEET ({devices} devices, shared remote hosts)")
     print(f"  wall clock        : {wall:.2f} s "
           f"({duration_s * devices / max(wall, 1e-9):.0f} device-seconds/s)")
-    print(f"  world iterations  : {world.macro_steps} macro-steps, "
-          f"{world.tick_steps} tick rounds")
+    ends = ", ".join(f"{count} {name}"
+                     for name, count in sorted(world.span_ends.items()))
+    print(f"  frontier rounds   : {world.barrier_rounds}")
+    print(f"  span ends         : {ends}")
     print(f"  cohort batching   : {world.cohort_spans} stacked spans, "
           f"{world.cohort_ticks} stacked ticks, "
           f"{world.cohort_fallbacks} fallbacks")
-    print(f"  horizon cache     : {world.horizon_cache_hits} hits / "
-          f"{world.horizon_polls} polls")
+    print(f"  horizon polls     : {world.horizon_polls} made, "
+          f"{world.horizon_cache_hits} skipped")
     print(f"  ticks skipped     : {world.fast_forwarded_ticks} "
           f"across the fleet")
     print(f"  radio activations : {world.total_radio_activations()}")

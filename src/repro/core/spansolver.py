@@ -1782,12 +1782,12 @@ def execute_span_batch(tiers: List[SpanTier],
     run the same decay constant (the fleet batcher groups by both), so
     the continuous dynamics ``L' = A·L + b`` are literally the same
     system over different initial conditions.  ``span`` is either one
-    shared horizon (the lockstep scheduler) or a ``(n_devices,)``
-    vector of **per-device** horizons (the independent scheduler's
-    event-time buckets): devices at different clocks still share one
-    eigendecomposition and one stacked switch-location scan, because
-    every propagation formula is elementwise in ``t`` — only the
-    dense Padé fallback keys a propagator per span value and solves
+    shared horizon or a ``(n_devices,)`` vector of **per-device**
+    horizons (the frontier scheduler's event-time buckets): devices at
+    different clocks still share one eigendecomposition and one
+    stacked switch-location scan, because every propagation formula
+    is elementwise in ``t`` — only the dense Padé fallback keys a
+    propagator per span value and solves
     per-span sub-stacks.  A vector of equal spans is bit-identical to
     the scalar call.  Levels stack into one ``(n_devices,
     n_reserves)`` array:

@@ -157,8 +157,9 @@ class DeviceRuntime:
         self.independent_cohort_spans = 0
         #: Telemetry: committed spans per the name of the event source
         #: whose instant ended them (``"deadline"`` when the run's
-        #: deadline did; ``"fleet"`` when a lockstep world cut the
-        #: span at another device's event).  Kept out of state
+        #: deadline did; ``"fleet"`` when a scheduler committed the
+        #: span short of this device's own polled horizon, which
+        #: neither the frontier nor ``run`` does).  Kept out of state
         #: digests: it describes how a run was cut, not its outcome.
         self.span_ends: Dict[str, int] = {}
         self._span_target = -1
@@ -470,12 +471,12 @@ class DeviceRuntime:
 
         ``firm`` reports whether the bounding event instant is exact
         and time-invariant (see :attr:`~repro.sim.events.EventSource.
-        horizon_firm`): a fleet scheduler may then cache the absolute
-        target tick across world iterations instead of re-polling
-        this device.  ``executes`` reports whether landing on that
+        horizon_firm`).  ``executes`` reports whether landing on that
         instant requires a normal step or merely closes a
         constant-power span (:attr:`~repro.sim.events.EventSource.
-        horizon_executes`).  A 0 answer (must tick) is always firm —
+        horizon_executes`).  When both hold, a poll on landing there
+        would answer "tick now", so the frontier scheduler skips that
+        re-poll.  A 0 answer (must tick) is always firm —
         it has to be re-examined after the very next step anyway.
 
         The poll itself never mutates device state, so a scheduler

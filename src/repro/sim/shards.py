@@ -143,8 +143,10 @@ class ShardReport:
     cohort_spans: int
     cohort_fallbacks: int
     #: Frontier rounds and stacked-vs-scalar span counts from this
-    #: shard's independent scheduler (zero under lockstep or the
-    #: legacy per-device loop).
+    #: shard's frontier scheduler (zero under the per-device oracle
+    #: loop).  ``macro_steps`` / ``tick_steps`` belonged to the deleted
+    #: lockstep schedulers and are always 0; they stay because fleet
+    #: reports are read by field name.
     independent_rounds: int = 0
     independent_cohort_spans: int = 0
     independent_scalar_spans: int = 0
@@ -535,17 +537,19 @@ class ShardedWorld:
         experiment).  With processes, shard worlds advance in
         parallel between barriers; inline (``shards=0``) the same
         partitions run sequentially in this process — the
-        differential oracle.  ``independent`` selects each shard
-        world's scheduler (see :meth:`repro.sim.world.World.run`);
-        it defaults to the independent scheduler here because that is
+        differential oracle.  ``independent`` is passed through to
+        each shard world's :meth:`repro.sim.world.World.run`, which
+        accepts only the independent (frontier) scheduler: that is
         what makes a device's trajectory *partition-invariant* down
-        to the bit: under lockstep, shard membership changes where
-        the global min-horizon lands, which perturbs span boundaries
-        (events stay identical, levels move within the solver
-        tolerance).
+        to the bit, because no device's spans depend on which other
+        devices share its shard.
         """
         if duration_s < 0:
             raise SimulationError("duration must be non-negative")
+        if independent is False:
+            raise SimulationError(
+                "the lockstep scheduler is gone; shard worlds advance "
+                "independently between barriers")
         start = time.perf_counter()
         if self.shards == 0:
             report = self._run_inline(duration_s, barrier_s, independent)

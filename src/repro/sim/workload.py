@@ -209,10 +209,9 @@ def fleet_of_pollers(
     reserve and one :func:`periodic_poller` billed to it.  Start
     offsets are staggered (``stagger_s`` apart; default spreads one
     period evenly across the fleet) so the fleet's radio activity
-    interleaves instead of synchronizing — the worst case for a
-    global min-horizon scheduler and therefore the honest one to
-    benchmark.  Returns ``(device, process)`` pairs.  This is
-    :func:`poller_shard` over the whole index range; pass the same
+    interleaves on an even comb instead of synchronizing.  Returns
+    ``(device, process)`` pairs.  This is :func:`poller_shard` over
+    the whole index range; pass the same
     keywords to :class:`~repro.sim.shards.ShardedWorld` builders to
     partition the identical fleet across processes.
     """

@@ -1,63 +1,57 @@
 """Worlds: many Cinder devices on one shared clock.
 
-The production question the ROADMAP asks — millions of users, fleets
-of simulated handsets — needs more than one :class:`DeviceRuntime`
-per experiment.  A :class:`World` runs N devices on a shared time
-grid:
+A :class:`World` runs N devices on a shared time grid:
 
 * every device is constructed on the world's ``tick_s`` and (by
   default) the world's shared :class:`~repro.net.remote.RemoteHosts`,
   so all devices talk to the same synthetic server universe;
-* per iteration the world asks every device for its fast-forward
-  horizon and advances all of them by the **global minimum** — the
-  same min-over-sources discipline each device already applies to its
-  own event sources, lifted one level up.  A device whose closed form
-  refuses a span (a state-dependent refusal: mid-span clamp, capacity
-  pressure, debt) ticks through it instead, so the fleet never skips
-  an event and never desynchronizes;
-* devices stay tick-aligned by construction: every iteration moves
-  every device by the same whole number of ticks.
+* devices share no mutable state between events — each has its own
+  battery-rooted graph of reserves and taps — so the fleet needs no
+  global clock between **barriers**: every device macro-steps on its
+  *own* horizon (the min over its own event sources) up to the next
+  barrier instant, where the fleet re-synchronizes.  A device whose
+  closed form refuses a span (a state-dependent refusal: frozen-tap
+  arbitration, a genuinely unsupported regime) takes one normal step
+  and re-polls, exactly as :meth:`~repro.sim.engine.DeviceRuntime.run`
+  does;
+* devices may run on **different tick grids**: barrier instants must
+  lie on every device's grid, so durations and barrier spacings are
+  multiples of the least common multiple of the tick periods (on a
+  uniform fleet, of ``tick_s``).
 
-At fleet scale the naive loop pays full per-device Python overhead
-every iteration, so the default scheduler is **cohort-batched**
-(``batched=True``):
+One scheduler runs the fleet: the event-time-bucketed **frontier**
+(:meth:`World._run_independent`).  It keeps a min-heap of each
+device's next landing instant and, per round, advances every device
+landing on the minimum instant together:
 
-* the **horizon tier** keeps a struct-of-arrays cache of each
-  device's absolute next-event tick.  Firm horizons (timer deadlines,
-  sleeper wakes, radio timeouts, exact pooled-crossing ticks — see
-  :attr:`~repro.sim.events.EventSource.horizon_firm`) are reused
-  across iterations and the global minimum is one numpy reduction;
-  soft horizons (conservative checkpoints) are re-polled.  Cached
-  firm targets are exactly what a fresh poll would return, so the
-  batched world takes the *same* macro/tick decisions as the
-  reference loop;
-* the **cohort tier** groups devices whose compiled
+* **cohorts** — devices whose compiled
   :class:`~repro.core.flowplan.FlowPlan` signatures match (same live
-  topology, same frozen-tap set, same decay constant) and stacks
-  their graph work: one ``(n_devices, n_reserves)`` kernel call per
-  tick round (:func:`repro.core.flowplan.execute_tick_batch`) and one
-  stacked span solve per macro-step
-  (:func:`repro.core.spansolver.execute_span_batch`), which reuses a
-  single eigendecomposition across the cohort on coupled topologies.
-  A device whose topology diverges — or whose span the solver refuses
-  — falls out of the cohort to the per-device path for that
-  iteration, counted in :attr:`cohort_fallbacks`;
-* devices may run on **different tick grids**: the world aligns them
-  on the least common multiple of their tick periods and advances
-  mixed-grid fleets barrier-to-barrier (each device runs its own
-  macro-step loop up to the shared barrier instant, which lies on
-  every device's grid by construction).
+  topology, same frozen-tap set, same decay constant) solve their
+  spans in one stacked call
+  (:func:`repro.core.spansolver.execute_span_batch`, one
+  eigendecomposition per cohort on coupled topologies), commit their
+  meter feeds through one batched feed, and tick together through
+  :func:`repro.core.flowplan.execute_tick_batch`.  A device whose
+  topology diverges — or whose span the stacked solve refuses — falls
+  out of the cohort to the per-device path, counted in
+  :attr:`World.cohort_fallbacks`;
+* **poll skipping** — landing on a firm, executing horizon (a timer
+  deadline, a sleeper wake) provably answers "tick now", so that
+  re-poll is skipped (:attr:`World.horizon_cache_hits`).
 
-``batched=False`` keeps the plain PR-2 loop as the reference
-scheduler; ``fast_forward=False`` disables macro-stepping entirely
-(the tick-slicing baseline).  Process-level sharding — partitions of
-a fleet macro-stepping in parallel worker processes between clock
-barriers — lives in :mod:`repro.sim.shards` on top of this class.
+``batched=False`` keeps one differential oracle: the plain
+per-device ``device.run(chunk)`` loop, of which the frontier is a
+pure reordering across devices (the parity suite pins the two
+bit-identical on diagonal topologies).  ``fast_forward=False``
+disables macro-stepping entirely (the tick-slicing baseline) and
+also runs the oracle loop.  Process-level sharding — partitions of a
+fleet advancing in parallel worker processes between clock barriers
+— lives in :mod:`repro.sim.shards` on top of this class.
 
 A one-device world is *sample-for-sample identical* to running the
-bare :class:`~repro.sim.engine.CinderSystem` — the world loop is the
-same decomposition ``run`` uses internally (the differential tests
-pin this).
+bare :class:`~repro.sim.engine.CinderSystem` — the frontier makes the
+same polls, spans and steps as ``run`` (the differential tests pin
+this).
 """
 
 from __future__ import annotations
@@ -83,7 +77,6 @@ class World:
                  hosts: Optional[RemoteHosts] = None,
                  fast_forward: bool = True,
                  batched: bool = True,
-                 independent_cohorts: bool = True,
                  seed: int = 0) -> None:
         if tick_s <= 0:
             raise SimulationError("tick must be positive")
@@ -91,63 +84,49 @@ class World:
         #: The shared remote-server universe every device talks to.
         self.hosts = hosts if hosts is not None else RemoteHosts.default()
         self.fast_forward = fast_forward
-        #: Cohort-batched scheduling (horizon cache + stacked graph
-        #: work).  The reference per-device loop survives at
+        #: The frontier scheduler (:meth:`_run_independent`).  The
+        #: plain per-device ``device.run(chunk)`` loop survives at
         #: ``batched=False`` as the differential oracle.
         self.batched = batched and fast_forward
-        #: Event-time-bucketed cohort scheduling on the *independent*
-        #: path (see :meth:`_run_independent`).  The plain per-device
-        #: ``device.run(chunk)`` loop survives at
-        #: ``independent_cohorts=False`` as the differential oracle,
-        #: and is also selected whenever the batched tier is off.
-        self.independent_cohorts = independent_cohorts and self.batched
         self.seed = seed
         self.devices: List[DeviceRuntime] = []
         self._by_name: Dict[str, DeviceRuntime] = {}
-        #: Telemetry: world iterations that macro-stepped vs ticked.
+        #: Telemetry of the deleted lockstep schedulers, kept (always
+        #: 0) because fleet reports and benchmarks read them by name.
         self.macro_steps = 0
         self.tick_steps = 0
-        #: Telemetry: rounds taken by the independent scheduler.  With
-        #: the bucketed scheduler this counts *actual frontier
-        #: iterations* — each pop-the-frontier-bucket-and-advance
-        #: round is one — so refusals and staggered horizons show up
-        #: as extra rounds.  The legacy per-device loop
-        #: (``independent_cohorts=False``) cannot observe its devices'
-        #: internal iterations and still counts one round per barrier
-        #: chunk (the historical approximation this counter had
-        #: fleet-wide before the frontier scheduler).
+        #: Telemetry: frontier rounds — each pop-the-frontier-bucket-
+        #: and-advance round is one, so refusals and staggered
+        #: horizons show up as extra rounds.  The oracle loop
+        #: (``batched=False``) cannot observe its devices' internal
+        #: iterations and counts one round per barrier chunk.
         self.barrier_rounds = 0
-        #: Telemetry, independent path only: device-spans solved
-        #: through a stacked cohort call vs scalar (a singleton
-        #: bucket/cohort, or a stacked drop-out whose scalar retry
-        #: still macro-stepped).
+        #: Telemetry: device-spans solved through a stacked cohort
+        #: call vs scalar (a singleton bucket/cohort, or a stacked
+        #: drop-out whose scalar retry still macro-stepped).
         self.independent_cohort_spans = 0
         self.independent_scalar_spans = 0
         #: Telemetry: device-spans solved through a stacked cohort
         #: call (switch-bound spans included — the batched segment
-        #: chain carries them in-batch), and devices that fell out of
-        #: a cohort to the per-device path (topology divergence, span
-        #: refusal, a genuinely unsupported shape, or a group too
-        #: small to batch).  A fallback whose scalar solve still
+        #: chain carries them in-batch; equal to
+        #: :attr:`independent_cohort_spans`), device-ticks stepped
+        #: through a stacked tick kernel, and devices that fell out of
+        #: a cohort to the per-device path (a stacked span or tick the
+        #: batch kernel refused).  A fallback whose scalar solve still
         #: macro-stepped is additionally counted in
         #: :attr:`cohort_demotions`: the device left the stacked call
-        #: but did not degrade to ticking.  Demotions now count only
-        #: shapes the stacked chain cannot carry (residual-refusal
-        #: regimes the scalar path also refuses land in ticking, and
-        #: Padé-only propagators or failed batch certificates land
-        #: here), never plain switch-bound cohorts.
+        #: but did not degrade to ticking.  Demotions count only
+        #: shapes the stacked chain cannot carry (Padé-only
+        #: propagators or failed batch certificates), never plain
+        #: switch-bound cohorts.
         self.cohort_spans = 0
         self.cohort_ticks = 0
         self.cohort_fallbacks = 0
         self.cohort_demotions = 0
-        #: Telemetry: horizon polls skipped thanks to a cached firm
-        #: target vs polls actually executed.
+        #: Telemetry: horizon polls skipped because the answer was
+        #: determined (see :meth:`_run_independent`) vs polls made.
         self.horizon_cache_hits = 0
         self.horizon_polls = 0
-        # -- horizon cache (struct-of-arrays, rebuilt per run) --
-        self._targets: Optional[np.ndarray] = None  # absolute tick; -1 stale
-        self._firm: Optional[np.ndarray] = None
-        self._executes: Optional[np.ndarray] = None
         # -- cohort signature interning --
         self._sig_tokens: Dict[tuple, int] = {}
         #: id(graph) -> (generation last seen, consecutive churn count);
@@ -181,8 +160,7 @@ class World:
         """Enroll an externally-assembled runtime (pluggable components).
 
         The runtime must not have ticked past the fleet — devices
-        advance in lockstep (or barrier-aligned, on mixed tick grids)
-        from the moment they join.
+        stay barrier-aligned from the moment they join.
         """
         if abs(runtime.clock.now - self.now) > 1e-12:
             raise SimulationError(
@@ -193,7 +171,6 @@ class World:
             raise SimulationError(f"duplicate device name {name!r}")
         self.devices.append(runtime)
         self._by_name[name] = runtime
-        self._targets = None  # horizon cache shape is stale
         return runtime
 
     def device(self, name: str) -> DeviceRuntime:
@@ -260,8 +237,10 @@ class World:
         device's grid; the LCM of the (rationalized) tick periods is
         the finest such spacing.
         """
-        fractions = [Fraction(d.clock.tick_s).limit_denominator(10 ** 9)
-                     for d in self.devices]
+        # One rationalization per distinct period: ``run`` validates
+        # against this on every call, and most fleets share one grid.
+        fractions = [Fraction(tick_s).limit_denominator(10 ** 9)
+                     for tick_s in {d.clock.tick_s for d in self.devices}]
         num = 1
         den = 0  # gcd identity
         for fr in fractions:
@@ -269,88 +248,7 @@ class World:
             den = math.gcd(den, fr.denominator)
         return float(Fraction(num, den))
 
-    # -- the world loop -----------------------------------------------------------
-
-    def _advance_once(self, deadline: float) -> None:
-        """One reference iteration: global min-horizon or one tick each.
-
-        The PR-2 loop, kept verbatim as the differential oracle for
-        the batched scheduler (``batched=False`` selects it).
-        """
-        devices = self.devices
-        ticks = min(d._ff_horizon_ticks(deadline) for d in devices)
-        if ticks >= 2:
-            for device in devices:
-                if not device._ff_advance(ticks):
-                    # The device's closed form refused this span (e.g.
-                    # a clamping tap): tick it through the same ticks
-                    # so the fleet stays aligned.
-                    for _ in range(ticks):
-                        device.step()
-            self.macro_steps += 1
-        else:
-            for device in devices:
-                device.step()
-            self.tick_steps += 1
-
-    # -- the batched scheduler ------------------------------------------------------
-
-    def _reset_horizons(self) -> None:
-        n = len(self.devices)
-        if self._targets is None or len(self._targets) != n:
-            self._targets = np.empty(n, dtype=np.int64)
-            self._firm = np.zeros(n, dtype=bool)
-            self._executes = np.zeros(n, dtype=bool)
-        self._targets[:] = -1
-
-    def _advance_once_batched(self, deadline: float) -> None:
-        """One batched iteration: cached-horizon min, stacked advance."""
-        devices = self.devices
-        if self._targets is None or len(self._targets) != len(devices):
-            # A device adopted mid-run (e.g. from a run_until
-            # predicate) stales the cache shape; rebuild it.
-            self._reset_horizons()
-        targets = self._targets
-        firm = self._firm
-        executes = self._executes
-        base = devices[0].clock.ticks
-        for i, device in enumerate(devices):
-            t = targets[i]
-            if t >= 0 and firm[i] and (t - base >= 2 or executes[i]):
-                # A firm target is exactly what a fresh poll would
-                # report: beyond the amortization threshold it stays
-                # cached, and a *due* step-requiring event means a
-                # fresh poll would answer "tick now" — both resolved
-                # without touching the device's sources.  A due power
-                # boundary (e.g. the radio's ramp end) is the one case
-                # that must re-poll: the next span opens right there.
-                self.horizon_cache_hits += 1
-                if t - base < 2:
-                    targets[i] = base
-                continue
-            self.horizon_polls += 1
-            ticks_i, firm_i, executes_i = device._ff_poll(deadline)
-            if ticks_i == 0:
-                targets[i] = base  # must tick now
-                firm[i] = True
-            else:
-                targets[i] = base + ticks_i
-                firm[i] = firm_i
-                executes[i] = executes_i
-        k = int(targets.min()) - base
-        if k >= 2:
-            self._fleet_macro(k)
-            self.macro_steps += 1
-            # Soft targets at or before the landing tick must be
-            # re-derived; firm ones stay — the due-target shortcut
-            # above answers "tick now" for them without a poll.
-            landed = base + k
-            stale = (targets <= landed) & ~firm
-            targets[stale] = -1
-        else:
-            self._fleet_tick()
-            self.tick_steps += 1
-            targets[:] = -1
+    # -- the frontier scheduler -------------------------------------------------------
 
     def _cohort_token(self, plan) -> int:
         # The memo is world-qualified: tokens are interned per world,
@@ -363,77 +261,6 @@ class World:
         token = self._sig_tokens.setdefault(sig, len(self._sig_tokens))
         plan._cohort_token = (self, token)
         return token
-
-    def _fleet_macro(self, ticks: int) -> None:
-        """Advance every device ``ticks`` ticks, cohorts stacked.
-
-        Mirrors the reference iteration exactly: each device's
-        frozen-tap arbitration and span solve run with the same
-        semantics, only grouped — the graph span of a cohort executes
-        as one stacked call, then each member commits its non-graph
-        effects (source replays, meter feed, clock) per device.  Any
-        refusal ticks that device through the same span.
-        """
-        devices = self.devices
-        span = ticks * devices[0].clock.tick_s
-        groups: Dict[Tuple[int, float], List[Tuple[int, object]]] = {}
-        refused: List[int] = []
-        singles: List[Tuple[int, object]] = []
-        for i, device in enumerate(devices):
-            frozen = device._ff_begin()
-            if frozen is None:
-                refused.append(i)
-                continue
-            graph = device.graph
-            plan = graph.span_plan_handle(frozen)
-            policy = graph.decay_policy
-            lam = policy.lam if policy.enabled else 0.0
-            groups.setdefault((self._cohort_token(plan), lam),
-                              []).append((i, plan))
-        for members in groups.values():
-            if len(members) < 2:
-                singles.extend(members)
-                continue
-            tiers = [plan.span_tier for _, plan in members]
-            results = _spansolver.execute_span_batch(tiers, span)
-            for (i, plan), moved in zip(members, results):
-                device = devices[i]
-                if moved is None:
-                    # Switch-bound devices solve inside the stacked
-                    # call now (the batched segment chain), so a None
-                    # here is a genuine drop-out: a shape the chain
-                    # cannot carry (residual-refusal regime, Padé-only
-                    # propagator, failed certificate).  Demote it to
-                    # the scalar path, which may still macro-step it;
-                    # ticking remains the fallback for residual
-                    # refusals only.
-                    self.cohort_fallbacks += 1
-                    moved = plan.execute_span(span)
-                    if moved is None:
-                        device._ff_refuse()
-                        refused.append(i)
-                    else:
-                        self.cohort_demotions += 1
-                        plan.graph.note_span(span)
-                        device._ff_commit(ticks)
-                else:
-                    plan.graph.note_span(span)
-                    device._ff_commit(ticks)
-                    self.cohort_spans += 1
-        for i, plan in singles:
-            device = devices[i]
-            moved = plan.execute_span(span)
-            if moved is None:
-                device._ff_refuse()
-                refused.append(i)
-            else:
-                plan.graph.note_span(span)
-                device._ff_commit(ticks)
-        for i in refused:
-            device = devices[i]
-            for _ in range(ticks):
-                device.step()
-            self._targets[i] = -1
 
     def _tick_plan_for(self, device: DeviceRuntime):
         """The device's compiled tick plan, or None if not batchable.
@@ -464,24 +291,22 @@ class World:
             return None
         return graph._current_plan()
 
-    def _fleet_tick(self, indices: Optional[List[int]] = None) -> None:
-        """One tick for the given devices (default: all), cohorts stacked.
+    def _fleet_tick(self, indices: List[int]) -> None:
+        """One tick for the given devices, cohorts stacked.
 
-        The tick grid enters the cohort key (mixed-grid fleets reach
-        here through the independent scheduler's stepper buckets;
+        The tick grid enters the cohort key: a mixed-grid fleet's
+        stepper bucket may hold devices on different grids, and
         :func:`~repro.core.flowplan.execute_tick_batch` takes one
-        shared ``dt``); on the lockstep path the grid is uniform, so
-        the extra key component is inert.
+        shared ``dt``.
         """
         devices = self.devices
-        idxs = range(len(devices)) if indices is None else indices
-        if len(idxs) < 2:
-            for i in idxs:
+        if len(indices) < 2:
+            for i in indices:
                 devices[i].step()
             return
         groups: Dict[Tuple[int, float, float],
                      List[Tuple[int, object]]] = {}
-        for i in idxs:
+        for i in indices:
             device = devices[i]
             plan = self._tick_plan_for(device)
             if plan is None:
@@ -503,10 +328,8 @@ class World:
                 else:
                     done[i] = True
                     self.cohort_ticks += 1
-        for i in idxs:
+        for i in indices:
             devices[i].step(graph_done=done.get(i, False))
-
-    # -- the independent (frontier) scheduler -----------------------------------------
 
     def _commit_cohort(self, commits: List[int],
                        pending: List[int]) -> None:
@@ -576,19 +399,15 @@ class World:
           the spans advanced come from each device's own tick count
           and tick size, never from the key;
         * **advance** — macro members are grouped by
-          ``(cohort_token, lam)`` exactly as :meth:`_fleet_macro` and
-          solved in one stacked
+          ``(cohort_token, lam)`` and solved in one stacked
           :func:`~repro.core.spansolver.execute_span_batch` call with
           a **per-device span vector** (devices at different clocks
           share one eigendecomposition and one switch-location scan).
           Singleton groups solve scalar.  A stacked drop-out retries
-          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`,
-          same as lockstep).  A refusal — frozen-tap arbitration or a
-          genuinely unsupported regime — takes **one** normal step and
-          re-polls, mirroring ``device.run``'s refusal fallthrough
-          (the lockstep scheduler instead ticks a refused device
-          through the whole fleet span; the independent path never
-          did, and the frontier keeps that contract).  Must-tick
+          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`).
+          A refusal — frozen-tap arbitration or a genuinely
+          unsupported regime — takes **one** normal step and re-polls,
+          mirroring ``device.run``'s refusal fallthrough.  Must-tick
           members batch through :meth:`_fleet_tick` when two or more
           share a bucket;
         * **re-poll** — after its action each device re-enters the
@@ -607,10 +426,10 @@ class World:
         deadlines = [d.clock.now + chunk for d in devices]
         pending = [0] * n
         #: Device's last macro poll was firm *and* executing: landing
-        #: on it, a fresh poll provably answers "tick now" (the same
-        #: shortcut the lockstep horizon cache takes), so the re-poll
-        #: after the commit is skipped — the poll is read-only, so
-        #: skipping a determined answer is invisible to the device.
+        #: on it, a fresh poll provably answers "tick now", so the
+        #: re-poll after the commit is skipped — the poll is
+        #: read-only, so skipping a determined answer is invisible to
+        #: the device.
         must_step = [False] * n
         skip_poll = [False] * n
         heap: List[Tuple[int, int]] = []
@@ -705,11 +524,7 @@ class World:
                     plan.graph.note_span(span_i)
                     device._ff_commit(pending[i])
                     skip_poll[i] = must_step[i]
-            if len(steppers) >= 2:
-                self._fleet_tick(steppers)
-            else:
-                for i in steppers:
-                    devices[i].step()
+            self._fleet_tick(steppers)
             for i in refused:
                 devices[i].step()
             for i in bucket:
@@ -717,105 +532,80 @@ class World:
 
     # -- running -------------------------------------------------------------------
 
+    def _advance(self, chunk: float) -> None:
+        """Land every device ``chunk`` seconds ahead."""
+        if self.batched:
+            self._run_independent(chunk)
+            return
+        for device in self.devices:
+            device.run(chunk)
+        # The oracle cannot observe its devices' internal iterations:
+        # one round per chunk.
+        self.barrier_rounds += 1
+
     def run(self, duration_s: float, barrier_s: Optional[float] = None,
             independent: Optional[bool] = None) -> None:
         """Advance the whole fleet by ``duration_s`` of simulated time.
 
-        Two schedulers:
+        Each device macro-steps *on its own horizon* to the next
+        shared clock barrier (every ``barrier_s``, default the whole
+        duration), where the fleet re-synchronizes.  Devices are
+        mutually independent between barriers (they share no state
+        but the stateless remote-host universe), so one device's
+        events never force a fleet-wide iteration: the cost is
+        O(N + own-events), not O(N · fleet-events).  With
+        :attr:`batched` (the default) the frontier scheduler
+        (:meth:`_run_independent`) advances the fleet, stacking the
+        spans and ticks of devices whose landing instants coincide;
+        ``batched=False`` runs the plain ``device.run(chunk)`` loop,
+        the differential oracle.
 
-        * **lockstep** (``independent=False``; the default on a
-          uniform tick grid) — the global min-horizon iteration,
-          cohort-batched when :attr:`batched`.  Best when the fleet's
-          events align (synchronized workloads, shared record
-          cadences on probed devices): one iteration serves everyone.
-        * **independent** (``independent=True``; the default — and
-          only option — on mixed tick grids) — each device
-          macro-steps *on its own horizon* to the next shared clock
-          barrier (every ``barrier_s``, default the whole duration),
-          where the fleet re-synchronizes.  Devices are mutually
-          independent between barriers (they share no state but the
-          stateless remote-host universe), so per-device trajectories
-          are sample-identical to lockstep — but one device's events
-          no longer force a fleet-wide iteration, which is the
-          difference between O(N · fleet-events) and O(N + own-events)
-          at 1000 devices of staggered pollers.  With
-          :attr:`independent_cohorts` (the default) the independent
-          path runs the event-time-bucketed frontier scheduler
-          (:meth:`_run_independent`): devices whose landing instants
-          coincide solve their spans in one stacked cohort call, so
-          staggered fleets keep the batch tier.
-          ``independent_cohorts=False`` keeps the plain
-          ``device.run(chunk)`` loop as the differential oracle.
-
-        Barrier instants must land on every device's tick grid; the
-        fleet's LCM tick period (:meth:`barrier_period`) is the
-        finest admissible spacing.
+        ``independent`` is accepted for callers that name the
+        scheduler; ``independent=False`` (the deleted lockstep
+        scheduler) raises.  Durations and barriers must land on every
+        device's tick grid; the fleet's LCM tick period
+        (:meth:`barrier_period`) is the finest admissible spacing.
         """
         if duration_s < 0:
             raise SimulationError("duration must be non-negative")
         if not self.devices:
             raise SimulationError("world has no devices")
-        if independent is None:
-            independent = not self.uniform_grid()
-        if not independent and not self.uniform_grid():
+        if independent is False:
             raise SimulationError(
-                "lockstep needs a uniform tick grid; mixed-grid fleets "
-                "advance independently between barriers")
-        period = duration_s if barrier_s is None else barrier_s
+                "the lockstep scheduler is gone; every fleet advances "
+                "independently between barriers")
         if barrier_s is not None and barrier_s <= 0:
             raise SimulationError("barrier must be positive")
-        if independent:
-            # Independent devices must *land* exactly on each barrier
-            # or they desynchronize; lockstep fleets keep the
-            # single-device semantics (an off-grid deadline simply
-            # rounds up to the next whole tick for everyone at once).
-            grid = self.barrier_period()
-            if barrier_s is not None:
-                ratio = barrier_s / grid
-                if abs(ratio - round(ratio)) > 1e-9:
-                    raise SimulationError(
-                        f"barrier {barrier_s} s is not a multiple of the "
-                        f"fleet's grid ({grid} s)")
-            ratio = duration_s / grid
+        # Devices must *land* exactly on each barrier or they
+        # desynchronize.
+        grid = self.barrier_period()
+        if barrier_s is not None:
+            ratio = barrier_s / grid
             if abs(ratio - round(ratio)) > 1e-9:
                 raise SimulationError(
-                    f"duration {duration_s} s does not land on the "
+                    f"barrier {barrier_s} s is not a multiple of the "
                     f"fleet's grid ({grid} s)")
+        ratio = duration_s / grid
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise SimulationError(
+                f"duration {duration_s} s does not land on the "
+                f"fleet's grid ({grid} s)")
+        period = duration_s if barrier_s is None else barrier_s
         end = self.now + duration_s
         while self.now < end - 1e-12:
-            chunk = min(period, end - self.now)
-            if independent:
-                if self.independent_cohorts:
-                    self._run_independent(chunk)
-                else:
-                    for device in self.devices:
-                        device.run(chunk)
-                    # The legacy loop cannot observe its devices'
-                    # internal iterations: one round per chunk (see
-                    # the counter's docstring for the frontier
-                    # scheduler's exact accounting).
-                    self.barrier_rounds += 1
-            else:
-                deadline = self.now + chunk
-                if self.batched:
-                    self._reset_horizons()
-                    while self.now < deadline - 1e-12:
-                        self._advance_once_batched(deadline)
-                else:
-                    while self.now < deadline - 1e-12:
-                        self._advance_once(deadline)
+            self._advance(min(period, end - self.now))
 
     def run_until(self, predicate: Callable[[], bool],
                   max_s: float = 36_000.0) -> float:
         """Run until ``predicate()`` or ``max_s``; returns elapsed time.
 
-        The predicate is checked after every world iteration — every
-        normal tick and every global event horizon — and each
-        iteration is capped at the fleet's next trace-record instant,
-        as :meth:`~repro.sim.engine.DeviceRuntime.run_until` caps a
-        single device.  Requires a uniform tick grid (mixed-grid
-        fleets only synchronize at barriers, which would starve the
-        predicate).
+        Each iteration lands the whole fleet on its minimum horizon
+        (at least one tick), capped at the fleet's next trace-record
+        instant as :meth:`~repro.sim.engine.DeviceRuntime.run_until`
+        caps a single device, and then checks the predicate — after
+        every normal tick and every global event horizon.  Requires a
+        uniform tick grid (mixed-grid fleets only synchronize at
+        barriers, which would starve the predicate).
         """
         if not self.devices:
             raise SimulationError("world has no devices")
@@ -825,18 +615,14 @@ class World:
                 "only observe shared state at barriers)")
         start = self.now
         deadline = start + max_s
-        if self.batched:
-            self._reset_horizons()
         while not predicate():
             if self.now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
             cap = min(deadline,
                       min(d._next_record() for d in self.devices))
-            if self.batched:
-                self._advance_once_batched(cap)
-            else:
-                self._advance_once(cap)
+            ticks = min(d._ff_poll(cap)[0] for d in self.devices)
+            self._advance(max(ticks, 1) * self.tick_s)
         return self.now - start
 
     # -- checkpointing -----------------------------------------------------------

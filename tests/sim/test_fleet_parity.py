@@ -1,18 +1,18 @@
-"""Fleet-tier parity: batched/sharded Worlds vs the sequential oracle.
+"""Fleet-tier parity: the frontier scheduler vs its one oracle.
 
-The fleet scheduler has three acceleration layers — cached vectorized
-horizons, cohort-stacked graph solves, and independent (barrier)
-advance / process sharding — and every one of them must be
-*semantically invisible*.  These tests pin that on randomized
+``World.run`` has one scheduler — the event-time-bucketed frontier,
+with cohort-stacked graph solves, batched meter feeds and poll
+skipping — and one differential oracle, the plain per-device
+``device.run(chunk)`` loop (``batched=False``).  The parity tests are
+one equivalence obligation between the two, pinned on randomized
 heterogeneous fleets:
 
-* the cohort-batched lockstep world takes the same macro/tick
-  decisions as the PR-2 reference loop (``batched=False``) and
-  produces identical events (netd operations, radio activations,
-  bit-equal wait seconds and pool levels), identical meter sample
-  streams, and levels within the documented span-solver tolerance;
-* the independent scheduler (each device on its own horizon between
-  clock barriers) matches lockstep per device;
+* the frontier makes the same polls, spans and steps per device as
+  the oracle and produces identical events (netd operations, radio
+  activations, bit-equal wait seconds and pool levels), identical
+  meter sample streams, and levels within the documented span-solver
+  tolerance (bit-identical on diagonal topologies);
+* barriers split spans but move no event;
 * a process-sharded fleet's digests are bit-identical to the same
   fleet built and run in one process;
 * mixed tick grids align on the LCM barrier grid and every device
@@ -31,7 +31,8 @@ from repro.core.tap import TapType
 from repro.errors import SimulationError
 from repro.sim.process import CpuBurn, Sleep
 from repro.sim.shards import ShardedWorld
-from repro.sim.workload import periodic_poller, poller_shard
+from repro.sim.workload import (fleet_of_pollers, periodic_poller,
+                                poller_shard)
 from repro.sim.world import World
 
 
@@ -106,12 +107,11 @@ def assert_fleets_match(fast: World, reference: World,
     """Events bit-equal; meters and levels within solver tolerance.
 
     ``exact_pool=False`` compares pool levels at last-ulp tolerance:
-    schedulers that split spans at different instants (independent vs
-    lockstep, different barrier spacings) round the diagonal solver's
-    ``level + rate * span`` differently per split, so a waiter's
-    contribution at a crossing can differ by one ulp even though every
-    event lands on the identical tick (the same span-boundary rounding
-    the shard-semantics docs note for lockstep shard membership).
+    runs that split spans at different instants (different barrier
+    spacings) round the diagonal solver's ``level + rate * span``
+    differently per split, so a waiter's contribution at a crossing
+    can differ by one ulp even though every event lands on the
+    identical tick.
     """
     assert len(fast.devices) == len(reference.devices)
     for a, b in zip(fast.devices, reference.devices):
@@ -138,32 +138,75 @@ def assert_fleets_match(fast: World, reference: World,
 
 class TestBatchedWorldParity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_cohort_batched_matches_reference_lockstep(self, seed):
-        fast = World(tick_s=0.01, seed=seed, batched=True)
+    def test_frontier_matches_oracle(self, seed):
+        fast = World(tick_s=0.01, seed=seed)
         build_random_fleet(fast, seed)
         reference = World(tick_s=0.01, seed=seed, batched=False)
         build_random_fleet(reference, seed)
         fast.run(400.0)
         reference.run(400.0)
         assert_fleets_match(fast, reference)
-        # The batched scheduler must actually batch: every iteration's
-        # polls would otherwise equal devices * iterations.
+        # The frontier must actually batch and skip determined polls.
         assert fast.cohort_spans > 0
         assert fast.horizon_cache_hits > 0
 
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_independent_scheduler_matches_lockstep(self, seed):
-        lockstep = World(tick_s=0.01, seed=seed)
-        build_random_fleet(lockstep, seed)
-        independent = World(tick_s=0.01, seed=seed)
-        build_random_fleet(independent, seed)
-        lockstep.run(400.0, independent=False)
-        independent.run(400.0, independent=True)
-        assert_fleets_match(independent, lockstep, exact_pool=False)
-        # barrier_rounds counts actual frontier iterations now (one
-        # per popped bucket), not one per barrier chunk.
-        assert independent.barrier_rounds > 1
-        assert independent.independent_cohort_spans > 0
+    def test_frontier_with_barriers_matches_oracle(self, seed):
+        oracle = World(tick_s=0.01, seed=seed, batched=False)
+        build_random_fleet(oracle, seed)
+        frontier = World(tick_s=0.01, seed=seed)
+        build_random_fleet(frontier, seed)
+        oracle.run(400.0)
+        frontier.run(400.0, barrier_s=100.0, independent=True)
+        assert_fleets_match(frontier, oracle, exact_pool=False)
+        # barrier_rounds counts actual frontier iterations (one per
+        # popped bucket), not one per barrier chunk.
+        assert frontier.barrier_rounds > 4
+        assert frontier.independent_cohort_spans > 0
+        assert oracle.barrier_rounds == 1
+
+    def test_default_run_on_a_comb_ends_no_span_at_a_fleet_cut(self):
+        """An even comb of pollers: no device's span is cut at
+        another device's wake, and every field matches the oracle."""
+        def build(batched):
+            world = World(tick_s=0.01, seed=7, batched=batched)
+            fleet_of_pollers(world, 10, watts=0.02, period_s=120.0,
+                             bytes_out=64, record_interval_s=1.0,
+                             decay_enabled=False)
+            return world
+        frontier = build(True)
+        oracle = build(False)
+        frontier.run(300.0)
+        oracle.run(300.0)
+        assert "fleet" not in frontier.span_ends
+        assert frontier.span_ends == oracle.span_ends
+        assert frontier.cohort_spans > 0
+        for a, b in zip(frontier.devices, oracle.devices):
+            assert a.clock.ticks == b.clock.ticks
+            assert a.fast_forwarded_ticks == b.fast_forwarded_ticks
+            assert a.netd.stats.operations == b.netd.stats.operations
+            assert a.netd.pool.level == b.netd.pool.level
+            assert a.battery.charge_joules == b.battery.charge_joules
+            assert np.array_equal(a.meter.samples()[1],
+                                  b.meter.samples()[1])
+            for ra, rb in zip(a.graph.reserves, b.graph.reserves):
+                assert ra.level == rb.level
+
+    def test_lockstep_request_raises(self):
+        world = World(tick_s=0.01, seed=1)
+        build_random_fleet(world, 1, devices=2)
+        with pytest.raises(SimulationError):
+            world.run(10.0, independent=False)
+        # Uniform fleets must land on their grid too.
+        with pytest.raises(SimulationError):
+            world.run(0.005)
+        with pytest.raises(SimulationError):
+            world.run(1.0, barrier_s=0.015)
+        assert world.now == 0.0
+        fleet = ShardedWorld(functools.partial(poller_shard, fleet_size=2),
+                             2, shards=0, tick_s=0.01, seed=1)
+        with pytest.raises(SimulationError):
+            fleet.run(10.0, independent=False)
 
     def test_switching_cohort_stays_batched(self):
         """A homogeneous cohort whose members all hit a switching
@@ -214,9 +257,9 @@ class TestBatchedWorldParity:
 
 
 class TestFrontierSchedulerParity:
-    """The event-time-bucketed independent scheduler vs its oracle.
+    """The event-time-bucketed frontier scheduler vs its oracle.
 
-    ``independent_cohorts=False`` preserves the plain per-device
+    ``batched=False`` preserves the plain per-device
     ``device.run(chunk)`` loop; the frontier scheduler must be a pure
     reordering of it — same polls, same spans, same steps per device
     — with only the stacked-vs-scalar solve path differing, which the
@@ -226,8 +269,7 @@ class TestFrontierSchedulerParity:
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_bucketed_matches_per_device_loop(self, seed):
-        legacy = World(tick_s=0.01, seed=seed,
-                       independent_cohorts=False)
+        legacy = World(tick_s=0.01, seed=seed, batched=False)
         build_random_fleet(legacy, seed)
         bucketed = World(tick_s=0.01, seed=seed)
         build_random_fleet(bucketed, seed)
@@ -238,15 +280,14 @@ class TestFrontierSchedulerParity:
         # device kinds, so same-shape devices share landing instants.
         assert bucketed.independent_cohort_spans > 0
         assert bucketed.barrier_rounds > 1
-        assert legacy.barrier_rounds == 1  # legacy: one per chunk
+        assert legacy.barrier_rounds == 1  # oracle: one per chunk
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_staggered_pollers_bit_identical(self, seed):
         """Randomized poll phases, diagonal topologies: every field
         bit-equal — the strongest form of the reordering claim."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=seed,
-                          independent_cohorts=independent_cohorts)
+        def build(batched):
+            world = World(tick_s=0.01, seed=seed, batched=batched)
             rng = random.Random(seed * 977)
             for i in range(12):
                 device = world.add_device(name=f"p{i}",
@@ -283,9 +324,8 @@ class TestFrontierSchedulerParity:
         """A fleet of switch-bound devices (clamps, debt repayment):
         the stacked segment chain must carry them through the frontier
         scheduler exactly as the scalar loop does."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=33,
-                          independent_cohorts=independent_cohorts)
+        def build(batched):
+            world = World(tick_s=0.01, seed=33, batched=batched)
             for i in range(6):
                 device = world.add_device(name=f"s{i}",
                                           record_interval_s=1.0,
@@ -314,9 +354,8 @@ class TestFrontierSchedulerParity:
         *time*: nanosecond key quantization must land them in one
         bucket, and the per-device span vector carries their distinct
         tick counts through one stacked solve."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=41,
-                          independent_cohorts=independent_cohorts)
+        def build(batched):
+            world = World(tick_s=0.01, seed=41, batched=batched)
             for i in range(6):
                 device = world.add_device(name=f"m{i}",
                                           tick_s=0.02 if i % 2 else 0.01,
@@ -400,7 +439,7 @@ class TestMixedTickGrids:
         with pytest.raises(SimulationError):
             world.run(0.12, barrier_s=0.05)
         with pytest.raises(SimulationError):
-            world.run(1.2, independent=False)  # lockstep needs uniform
+            world.run(1.2, independent=False)  # no lockstep scheduler
         with pytest.raises(SimulationError):
             world.run_until(lambda: True)
 
