@@ -20,10 +20,14 @@ This module owns the two daemon-independent halves of that story:
   decay-exempt, constant taps only) — the chained-feed topologies the
   span solver now integrates.  Anything else returns None and the
   daemon falls back to per-tick execution, which is always correct.
-* :func:`replay_pooled_accrual` — advance the pool through the exact
-  per-tick float sequence (chunked ``numpy.cumsum`` is sequential,
-  hence bit-identical to repeated ``+=``) and move every cumulative
+* :func:`replay_pooled_accrual` / :func:`replay_reserve_accrual` —
+  advance the pool (or each waiter reserve) through the exact per-tick
+  float chain with :func:`repeat_add` and move every cumulative
   counter in bulk.
+* :func:`repeat_add` — the closed form of ``ticks`` rounds of
+  ``level = level + a`` over a fixed addend list, exact to the bit in
+  O(binades crossed) integer steps instead of one float addition per
+  tick.
 
 Each daemon keeps its own *crossing scan* — netd's pump has a
 two-gate affordability check, gpsd's clamps contributions at the
@@ -33,10 +37,10 @@ shortfall — because that is where their pump arithmetic differs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from .reserve import Reserve
 from .tap import Tap, TapType
@@ -283,44 +287,17 @@ def replay_pooled_accrual(
 ) -> float:
     """Replay ``ticks`` rounds of pooled accrual in closed form.
 
-    The pool level advances through the *exact* per-tick float
-    sequence (``numpy.cumsum`` is sequential, so the chunked scan
-    reproduces repeated ``+=`` bit-for-bit); cumulative counters move
-    in bulk, which only costs last-ulp rounding relative to
-    tick-by-tick accumulation.  ``credit(op, amount)`` books each
-    reserve's total contribution on its first queued op.  Returns the
-    total amount contributed to the pool.
+    The pool level is :func:`repeat_add` over the per-tick addends —
+    bit-for-bit the level repeated ``+=`` reaches, in O(binades)
+    steps.  Cumulative counters move in bulk, which only costs
+    last-ulp rounding relative to tick-by-tick accumulation.
+    ``credit(op, amount)`` books each reserve's total contribution on
+    its first queued op.  Returns the total amount contributed to the
+    pool.
     """
     if ticks <= 0:
         return 0.0
-    if accrual.addends:
-        per_tick = len(accrual.addends)
-        if ticks * per_tick < 256:
-            # Short spans: the literal scalar chain beats numpy setup.
-            pool_level = pool._level
-            for _ in range(ticks):
-                for addend in accrual.addends:
-                    pool_level = pool_level + addend
-            pool._level = pool_level
-        else:
-            addends = np.asarray(accrual.addends, dtype=float)
-            chunk_ticks = max(1, (1 << 18) // per_tick)
-            pool_level = pool._level
-            remaining = ticks
-            while remaining > 0:
-                batch = min(remaining, chunk_ticks)
-                seq = np.empty(batch * per_tick + 1)
-                seq[0] = pool_level
-                if per_tick == 1:
-                    # One contributor (the common pooled wait): a
-                    # broadcast fill is the same repeated value
-                    # without tile's allocation.
-                    seq[1:] = addends[0]
-                else:
-                    seq[1:] = np.tile(addends, batch)
-                pool_level = float(np.cumsum(seq)[-1])
-                remaining -= batch
-            pool._level = pool_level
+    pool._level = repeat_add(pool._level, accrual.addends, ticks)
     contributed_total = 0.0
     root = graph.root
     for entry in accrual.entries:
@@ -354,13 +331,13 @@ def replay_reserve_accrual(
     """Replay ``ticks`` rounds of *individual* accrual in closed form.
 
     The ``drain_to_pool=False`` counterpart of
-    :func:`replay_pooled_accrual`: each waiter reserve's level
-    advances through the exact per-tick ``+= rate * tick`` chain
-    (chunked ``numpy.cumsum``, bit-identical to the reference tick
-    loop), the deposits *stay in the reserve* — the §5.5.1 regime
-    where every caller gates on its own balance — and the feed-source
-    debits and cumulative counters move in bulk.  Returns the total
-    amount deposited across all waiter reserves.
+    :func:`replay_pooled_accrual`: each waiter reserve's level is
+    :func:`repeat_add` over its one per-tick deposit ``rate * tick``
+    (bit-identical to the reference tick loop, debt levels included),
+    the deposits *stay in the reserve* — the §5.5.1 regime where every
+    caller gates on its own balance — and the feed-source debits and
+    cumulative counters move in bulk.  Returns the total amount
+    deposited across all waiter reserves.
     """
     if ticks <= 0:
         return 0.0
@@ -368,22 +345,8 @@ def replay_reserve_accrual(
     for entry in accrual.entries:
         if entry.inflow <= 0.0:
             continue
-        level = entry.reserve._level
-        if ticks < 256:
-            # Short spans: the literal scalar chain beats numpy setup.
-            for _ in range(ticks):
-                level = level + entry.inflow
-        else:
-            chunk_ticks = 1 << 18
-            remaining = ticks
-            while remaining > 0:
-                batch = min(remaining, chunk_ticks)
-                seq = np.empty(batch + 1)
-                seq[0] = level
-                seq[1:] = entry.inflow
-                level = float(np.cumsum(seq)[-1])
-                remaining -= batch
-        entry.reserve._level = level
+        entry.reserve._level = repeat_add(entry.reserve._level,
+                                          (entry.inflow,), ticks)
         flow_total = entry.inflow * ticks
         entry.tap.total_flowed += flow_total
         entry.reserve.total_transferred_in += flow_total
@@ -392,3 +355,119 @@ def replay_reserve_accrual(
         source.total_transferred_out += flow_total
         deposited_total += flow_total
     return deposited_total
+
+
+#: Grid points per binade: a float in ``[2**(e-1), 2**e)`` is a whole
+#: number of its ulps in ``[2**52, 2**53)``.
+_BINADE_UNITS = 1 << 53
+_MIN_NORMAL = sys.float_info.min
+
+
+def _tick_units(units: int, steps: List[Tuple[int, float]],
+                sign: int) -> int:
+    """One tick of additions in ulp units of the current binade.
+
+    ``steps`` holds each addend as ``(whole, frac)`` ulps; ``units``
+    is the level's magnitude in ulps and ``sign`` its sign (a debt
+    level moves its magnitude down).  Round-to-nearest-even: a
+    fraction above one half rounds away from the level's start, an
+    exact half rounds to the even count — which depends on the
+    running count's parity, so callers pass the true parity.
+    """
+    for whole, frac in steps:
+        units += sign * whole
+        if frac > 0.5 or (frac == 0.5 and units & 1):
+            units += sign
+    return units
+
+
+def repeat_add(level: float, addends: Sequence[float],
+               ticks: int) -> float:
+    """``ticks`` rounds of ``for a in addends: level = level + a``.
+
+    Exact to the bit, for non-negative ``addends``, at a cost that
+    grows with the binades the level crosses rather than with
+    ``ticks``.  The argument, one binade at a time:
+
+    * While every partial sum stays inside the level's binade
+      ``[2**(e-1), 2**e)`` (in magnitude), every addition rounds on
+      the one grid ``u = ulp(level)``.  In units of ``u`` the level is
+      an integer and an addend ``a`` is ``a / u`` exactly (a power-of-
+      two scaling), so one tick moves the level by a whole number of
+      ulps computed in integers (:func:`_tick_units`).  With no exact
+      tie that count ``D`` is the same every tick; a tie (``a / u`` has
+      fractional part one half) rounds to even, so ``D`` depends on
+      the level's parity — the parity pattern settles within one tick
+      and then repeats with period one or two.
+    * The level jumps by as many whole periods as keep the count below
+      the top of the binade (above its bottom for a negative level,
+      whose magnitude shrinks), leaving at least half an ulp of room
+      for the last exact partial sum, so no addition inside the jump
+      rounds on another grid.
+    * The tick that would cross the binade edge, a tick whose parity
+      has not yet settled, zero and subnormal levels, a debt level on
+      its binade's floor (the next sum lands on a finer grid) and an
+      addend too large for the binade are taken literally in floats.
+    * ``D == 0`` means every addend rounds away: the level can never
+      change again, so it is returned at once.
+
+    ``tests/core/test_repeat_add.py`` checks it bit-for-bit against
+    the literal chain.
+    """
+    addends = tuple(addends)
+    while ticks > 0:
+        jump = _binade_jump(level, addends, ticks)
+        if jump is None:
+            return level  # every addend rounds away
+        level, ticks = jump
+        if ticks:
+            for addend in addends:
+                level = level + addend
+            ticks -= 1
+    return level
+
+
+def _binade_jump(level: float, addends: Tuple[float, ...],
+                 ticks: int) -> Optional[Tuple[float, int]]:
+    """Jump whole ticks inside ``level``'s binade (see
+    :func:`repeat_add`): returns ``(level, ticks left)``, unchanged
+    when the next tick must be taken literally, or None when no tick
+    can ever change the level."""
+    magnitude = abs(level)
+    if magnitude < _MIN_NORMAL:
+        return level, ticks
+    exp = math.frexp(magnitude)[1] - 53
+    units = int(math.ldexp(magnitude, -exp))
+    sign = 1 if level > 0.0 else -1
+    # Whole ulps the count may move while every exact partial sum
+    # stays half an ulp inside the binade.
+    room = (_BINADE_UNITS - 1 - units if sign > 0
+            else units - (_BINADE_UNITS >> 1) - 1)
+    if room < 0:
+        return level, ticks  # a debt on its binade's floor
+    steps: List[Tuple[int, float]] = []
+    for addend in addends:
+        scaled = math.ldexp(addend, -exp)
+        if scaled >= _BINADE_UNITS:
+            return level, ticks  # leaves the binade in one addition
+        whole = math.floor(scaled)
+        steps.append((whole, scaled - whole))
+    parity = units & 1
+    step = _tick_units(parity, steps, sign) - parity
+    if step == 0:
+        return None
+    period = 1
+    if step & 1:
+        # A tie flipped the parity, so the next tick rounds from the
+        # other one.  Two odd moves return to this parity: period two.
+        # Otherwise the parity settles after one literal tick.
+        flipped = parity ^ 1
+        after = _tick_units(flipped, steps, sign) - flipped
+        if not after & 1:
+            return level, ticks
+        period, step = 2, step + after
+    jumps = min(ticks // period, room // abs(step))
+    if jumps <= 0:
+        return level, ticks
+    units += jumps * step
+    return math.ldexp(float(sign * units), exp), ticks - jumps * period

@@ -574,14 +574,17 @@ class NetworkDaemon:
 
         Pooled mode delegates to
         :func:`repro.core.pooling.replay_pooled_accrual`: the pool
-        level advances through the *exact* per-tick float sequence
-        (chunked ``numpy.cumsum`` is sequential, hence bit-identical
-        to repeated ``+=``), while cumulative counters and the
-        feed-source debits — the root, or a junction reserve on a
-        chained feed — move in bulk.  Active mode replays through
-        :func:`repro.core.pooling.replay_reserve_accrual`: the same
-        exact chain, but the deposits stay in each caller's own
-        reserve (§5.5.1 — nothing pools until an op can pay).
+        level is :func:`repro.core.pooling.repeat_add` over the
+        per-tick contributions, bit-identical to repeated ``+=``
+        because inside one binade every addition rounds on the same
+        ulp grid, so whole runs of ticks move the level by a fixed
+        whole number of ulps (integer arithmetic), and only the ticks
+        that cross a binade edge are added literally.  Cumulative
+        counters and the feed-source debits — the root, or a junction
+        reserve on a chained feed — move in bulk.  Active mode replays
+        through :func:`repro.core.pooling.replay_reserve_accrual`: the
+        same exact closed form, but the deposits stay in each caller's
+        own reserve (§5.5.1 — nothing pools until an op can pay).
         """
         plan = self._span_plan(now)
         if plan is None or self.tick_s is None:

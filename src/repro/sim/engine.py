@@ -383,34 +383,83 @@ class DeviceRuntime:
         A probe-free device's span is not ended by the record cadence
         (see :class:`~repro.sim.events.TraceCadenceSource`), so every
         tick ``k`` in ``[k0, k0 + ticks)`` whose :meth:`step` would
-        have recorded is found here in closed form, with
-        :meth:`_record_due` at ``now = k * tick_s`` — the exact instant
-        and test the tick loop uses.  Power is constant across the
-        span, so the values are the ones :meth:`step` would write.
+        have recorded is found here, with the step's own due test
+        (:meth:`_record_due`) at ``now = k * tick_s``.  Power is
+        constant across the span, so the values are the ones
+        :meth:`step` would write.
+
+        A scalar scan finds the next due tick.  From there the records
+        are taken as a run at the nominal stride ``s = ceil((interval
+        - 1e-12) / tick_s)``, checked all at once with the same float
+        arithmetic: candidate ``k_j`` is the next record after
+        ``k_{j-1}`` exactly when ``t_j - t_{j-1}`` passes the due test
+        and ``(k_j - 1) * tick_s - t_{j-1}`` does not (the test is
+        monotone in ``k``, so no earlier tick is due).  The verified
+        prefix is kept and the scan resumes at the first failure.
+
+        Far from time zero the stride can flip between ``s`` and
+        ``s + 1`` from one record to the next (``k * tick_s`` is
+        rounded to an ulp larger than the 1e-12 s slack: from ~8192 s
+        at a 0.01 s tick).  After each failed run the scan takes twice
+        as many records on its own before the next run is tried, so a
+        flipping span costs about the scalar scan alone.
         """
         tick_s = self.clock.tick_s
+        interval = self.record_interval_s
+        threshold = interval - 1e-12
+        stride = (max(1, math.ceil(threshold / tick_s))
+                  if math.isfinite(threshold) else 0)
         k = self.clock.ticks
         end = k + ticks
-        times: List[float] = []
+        last = self._last_record
+        runs: List[np.ndarray] = []
+        scanned: List[float] = []
+        solo = 0      # records to scan before the next verified run
+        misses = 0
         while k < end:
-            due = self._next_record()
+            due = last + interval
             if math.isfinite(due):
                 # The 1e-12 s slack moves the due tick at most one
                 # tick before the nominal ceil; the scan below decides.
                 k = max(k, math.ceil(due / tick_s) - 1)
             elif due > 0.0:
                 break  # an infinite interval never records again
-            while k < end and not self._record_due(k * tick_s):
+            while k < end and not k * tick_s - last >= threshold:
                 k += 1
             if k >= end:
                 break
-            now = k * tick_s
-            times.append(now)
-            self._last_record = now
-            k += 1
-        if times:
-            self.trace.record_run("power.system", times, power)
-            self.trace.record_run("power.radio", times, radio_watts)
+            if solo or not stride:
+                last = k * tick_s
+                scanned.append(last)
+                solo = max(0, solo - 1)
+                k += 1
+                continue
+            times = np.arange(k, end, stride) * tick_s
+            previous = times[:-1]
+            bad = times[1:] - previous < threshold
+            if stride > 1:
+                # The tick before each candidate must not be due yet.
+                early = np.arange(k + stride - 1, end - 1, stride) * tick_s
+                bad |= early - previous >= threshold
+            failed = bool(bad.any())
+            kept = int(bad.argmax()) + 1 if failed else len(times)
+            if scanned:
+                runs.append(np.array(scanned))
+                scanned = []
+            runs.append(times[:kept])
+            last = float(times[kept - 1])
+            k += stride * (kept - 1) + 1
+            if failed:
+                misses += 1
+                solo = (1 << misses) - 1
+        if scanned:
+            runs.append(np.array(scanned))
+        if not runs:
+            return
+        self._last_record = last
+        times = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        self.trace.record_run("power.system", times, power)
+        self.trace.record_run("power.radio", times, radio_watts)
 
     def run(self, duration_s: float) -> None:
         """Step until ``duration_s`` of simulated time has elapsed.

@@ -9,6 +9,7 @@ traces sampled like the Agilent meter, reserve levels over time
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,12 +18,17 @@ from ..errors import SimulationError
 
 
 class TimeSeries:
-    """An append-only (time, value) series with analysis helpers."""
+    """An append-only (time, value) series with analysis helpers.
+
+    Samples are packed ``array("d")`` columns (8 bytes a sample, no
+    float object each); :meth:`extend` appends a whole run of record
+    times — a list or the engine's float64 array — as one block.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
+        self._times = array("d")
+        self._values = array("d")
 
     def append(self, time: float, value: float) -> None:
         """Add a sample; times must be non-decreasing."""
@@ -35,14 +41,15 @@ class TimeSeries:
 
     def extend(self, times: Sequence[float], value: float) -> None:
         """Add ``value`` at each of the non-decreasing ``times``."""
-        if not times:
+        count = len(times)
+        if not count:
             return
         if self._times and times[0] < self._times[-1] - 1e-12:
             raise SimulationError(
                 f"series {self.name!r}: time went backward "
                 f"({times[0]} < {self._times[-1]})")
-        self._times.extend(times)
-        self._values.extend([value] * len(times))
+        self._times.frombytes(np.asarray(times, dtype=float).tobytes())
+        self._values.extend(array("d", (value,)) * count)
 
     # -- access -------------------------------------------------------------------
 
@@ -51,13 +58,13 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        """Sample times as an array."""
-        return np.asarray(self._times, dtype=float)
+        """Sample times as an array (a copy: the series keeps growing)."""
+        return np.array(self._times, dtype=float)
 
     @property
     def values(self) -> np.ndarray:
-        """Sample values as an array."""
-        return np.asarray(self._values, dtype=float)
+        """Sample values as an array (a copy)."""
+        return np.array(self._values, dtype=float)
 
     def last(self) -> float:
         """Most recent value."""
@@ -162,7 +169,8 @@ class TraceRecorder:
     def record_run(self, name: str, times: Sequence[float],
                    value: float) -> None:
         """Append ``value`` at each of ``times`` to the named series
-        (a constant-power span's records, written in one call)."""
+        (a constant-power span's records — the engine passes a float64
+        array — written as one block)."""
         self.series(name).extend(times, value)
 
     @property
